@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 parse/validation error, 3 infeasible configuration,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -258,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dcpm",
         description="Prescribed negative curvature on closed triangulated "
                     "surfaces via discrete conformal factors")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DCPM_THREADS", "1")),
-                        help="inner parallelism hint; results do not depend "
-                             "on it")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("solve", help="Newton solve for K(u) = 0")

@@ -104,16 +104,21 @@ def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,
             [int(mesh.face_ids[f]) for f in exc.face_ids]) from None
 
 
-def discrete_curvature(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
-                       lengths: np.ndarray) -> np.ndarray:
-    """Generalized discrete curvature K_i = 2*pi - sum of corner angles at i.
+def curvature_from_angles(mesh: SurfaceMesh, angles: np.ndarray) -> np.ndarray:
+    """K_i = 2*pi - sum of the (F, 3) corner angles at vertex i.
 
     Summation runs in ascending face id order, so results are deterministic.
     """
-    angles = corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths))
     K = np.full(mesh.vertex_count, TWO_PI)
     np.subtract.at(K, mesh.face_corners.ravel(), angles.ravel())
     return K
+
+
+def discrete_curvature(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
+                       lengths: np.ndarray) -> np.ndarray:
+    """Generalized discrete curvature K_i = 2*pi - sum of corner angles at i."""
+    return curvature_from_angles(
+        mesh, corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths)))
 
 
 def acuteness_margin(mesh: SurfaceMesh, kappa: np.ndarray,
@@ -130,7 +135,6 @@ def gauss_bonnet_residual(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
     Zero up to roundoff on every feasible configuration.
     """
     angles = corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths))
-    K = np.full(mesh.vertex_count, TWO_PI)
-    np.subtract.at(K, mesh.face_corners.ravel(), angles.ravel())
+    K = curvature_from_angles(mesh, angles)
     face_defect = np.pi - angles.sum(axis=1)
     return float(K.sum() - face_defect.sum() - TWO_PI * mesh.euler_characteristic)

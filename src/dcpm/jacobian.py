@@ -3,7 +3,8 @@
 Edge weights and diagonal are assembled per face from half-angle cotangents
 and the lambda factors; the result is the true Jacobian of
 :func:`dcpm.geometry.discrete_curvature` (checked by finite differences in
-the test suite).
+the test suite).  The sparse matrix is filled into a per-mesh pattern,
+:class:`JacobianPlan`, built on first use and cached on the mesh.
 """
 
 from __future__ import annotations
@@ -36,6 +37,54 @@ def lambda_factor(kappa, scaled_length):
     return t / (t + 4.0)
 
 
+@dataclass(frozen=True, eq=False)
+class JacobianPlan:
+    """Sparsity pattern of D - Delta_eta on one mesh, fixed by its edges.
+
+    ``indices``/``indptr`` are the CSC pattern: rows sorted within each
+    column, every diagonal entry present, loop edges dropped as in
+    :func:`dcpm.calculus.laplacian_matrix`.  The numeric values are laid out
+    as ``[-w, -w, +w, +w, diag]``, with ``w`` the weights of the non-loop
+    edges (mask ``keep``): the two off-diagonal entries of each edge, its
+    two endpoint diagonals, then D.  ``slot`` sends each value to its nnz
+    position.  Both off-diagonal entries of an edge list its endpoints in
+    the same (low, high) order, so parallel edges sum in edge order on both
+    sides and the matrix is exactly symmetric.
+    """
+
+    keep: np.ndarray
+    slot: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
+    """The mesh's :class:`JacobianPlan`, built once and cached on the mesh."""
+    plan = getattr(mesh, "_jacobian_plan", None)
+    if plan is None:
+        n = mesh.vertex_count
+        keep = mesh.edges[:, 0] != mesh.edges[:, 1]
+        lo = mesh.edges[keep].min(axis=1)
+        hi = mesh.edges[keep].max(axis=1)
+        vertices = np.arange(n)
+        rows = np.concatenate([lo, hi, lo, hi, vertices])
+        cols = np.concatenate([hi, lo, lo, hi, vertices])
+        keys, slot = np.unique(cols * n + rows, return_inverse=True)
+        indptr = np.searchsorted(keys, vertices * n)
+        plan = JacobianPlan(
+            keep=keep, slot=slot,
+            indices=(keys % n).astype(np.int32),
+            indptr=np.append(indptr, len(keys)).astype(np.int32))
+        for a in (plan.keep, plan.slot, plan.indices, plan.indptr):
+            a.flags.writeable = False
+        mesh._jacobian_plan = plan
+    return plan
+
+
 @dataclass
 class JacobianParts:
     """Pieces of dK/du = D - Delta_eta for one configuration.
@@ -55,11 +104,14 @@ class JacobianParts:
         from .calculus import laplacian_matrix
         return laplacian_matrix(self.mesh, self.eta)
 
-    def matrix(self) -> np.ndarray:
-        """Dense Jacobian D - Delta_eta."""
-        J = -self.laplacian().toarray()
-        J[np.diag_indices_from(J)] += self.diag
-        return J
+    def matrix(self) -> sp.csc_matrix:
+        """Sparse Jacobian D - Delta_eta, filled into the mesh's plan."""
+        plan = jacobian_plan(self.mesh)
+        w = self.eta[plan.keep]
+        values = np.concatenate([-w, -w, w, w, self.diag])
+        data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
+        n = self.mesh.vertex_count
+        return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
 
 
 def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
@@ -87,14 +139,14 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
     # cotangent opposite to edge slot s is at corner slot s+2
     cot_opp = np.roll(np.cos(tilde) / np.sin(tilde), 1, axis=1)
 
-    eta = np.zeros(mesh.edge_count)
-    np.add.at(eta, mesh.face_edges.ravel(), (0.5 * cot_opp * (1.0 - lam)).ravel())
+    eta = np.bincount(mesh.face_edges.ravel(),
+                      weights=(0.5 * cot_opp * (1.0 - lam)).ravel(),
+                      minlength=mesh.edge_count)
 
-    diag = np.zeros(mesh.vertex_count)
     dcontrib = (cot_opp * lam).ravel()
     edge_ends = mesh.edges[mesh.face_edges.ravel()]
-    np.add.at(diag, edge_ends[:, 0], dcontrib)
-    np.add.at(diag, edge_ends[:, 1], dcontrib)
+    diag = np.bincount(edge_ends.T.ravel(), weights=np.tile(dcontrib, 2),
+                       minlength=mesh.vertex_count)
 
     return JacobianParts(mesh=mesh, eta=eta, diag=diag,
                          corner_tilde=tilde, lam=lam)

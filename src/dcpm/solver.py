@@ -1,11 +1,15 @@
 """Solvers for K(u) = 0: damped Newton iteration and a continuation ODE.
 
-The Newton step solves (D - Delta_eta) d = -K with a dense Cholesky
-factorization (the system is positive definite near acute configurations and
-nonsingular in general, so no gauge fixing is needed), with feasibility-aware
-backtracking.  The continuation solver integrates
-u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0) with classical RK4, which follows
-the path K(u(t)) = (1-t) K(u0).
+The Newton step solves (D - Delta_eta) d = -K with a sparse LU
+factorization of the CSC Jacobian (``splu``, COLAMD ordering).  The system
+is positive definite near acute configurations and nonsingular in general,
+so no gauge fixing is needed.  Every solve is checked twice: d must be a
+descent direction for the line search (rhs . d > 0, which holds whenever the
+matrix is positive definite), and the recomputed residual |J d - rhs| must
+be small relative to |rhs|.  A step that fails the first check falls back
+to a gradient step; the step itself uses feasibility-aware backtracking.
+The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
+with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from . import geometry
-from .geometry import InfeasibleFaceError, discrete_curvature, scale_lengths
+from .geometry import (InfeasibleFaceError, curvature_from_angles,
+                       discrete_curvature, scale_lengths)
 from .jacobian import CotangentSingularityError, JacobianParts, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
@@ -36,7 +41,12 @@ class LinearSolveError(Exception):
 
 
 class NotPositiveDefiniteError(LinearSolveError):
-    """Cholesky factorization failed; Jacobian lost positive definiteness."""
+    """The Jacobian is singular, or its solution is not a descent direction.
+
+    Raised when the sparse LU factor is exactly singular or when the solve
+    gives d with rhs . d <= 0; a positive definite Jacobian never does
+    either, so this signals that positive definiteness was lost.
+    """
 
 
 @dataclass
@@ -81,21 +91,29 @@ class SolveResult:
 
 
 def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
-    """Solve (D - Delta_eta) d = rhs via dense Cholesky.
+    """Solve (D - Delta_eta) d = rhs by sparse LU of the CSC Jacobian.
 
-    Raises :class:`NotPositiveDefiniteError` when factorization fails and
-    :class:`LinearSolveError` when the recomputed residual is out of
-    tolerance.
+    LU factors indefinite matrices too, so positive definiteness is tested
+    through what the line search needs: for nonzero ``rhs``, d must satisfy
+    rhs . d > 0 (with rhs = -K, d is a descent direction for |K|).  Raises
+    :class:`NotPositiveDefiniteError` when the factor is exactly singular or
+    that test fails, and :class:`LinearSolveError` when the recomputed
+    residual max|J d - rhs| exceeds ``LINEAR_RESIDUAL_RTOL * max|rhs|``.
     """
     J = parts.matrix()
     try:
-        cf = scipy.linalg.cho_factor(J, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        d = splu(J).solve(rhs)
+    except RuntimeError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
-    d = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
     rhs_norm = float(np.max(np.abs(rhs)))
+    if rhs_norm == 0.0:
+        return d
+    slope = float(rhs @ d)
+    if not slope > 0.0:
+        raise NotPositiveDefiniteError(
+            f"solution is not a descent direction (rhs . d = {slope:.3e})")
     resid = float(np.max(np.abs(J @ d - rhs)))
-    if rhs_norm > 0 and resid > LINEAR_RESIDUAL_RTOL * rhs_norm:
+    if not resid <= LINEAR_RESIDUAL_RTOL * rhs_norm:
         raise LinearSolveError(
             f"linear solve residual {resid:.3e} exceeds "
             f"{LINEAR_RESIDUAL_RTOL:.0e} * |rhs|")
@@ -113,8 +131,10 @@ def _check_inputs(mesh: SurfaceMesh, kappa: np.ndarray) -> None:
         raise SolverInputError("all face curvatures must be strictly negative")
 
 
-def _margin(mesh, kappa, u, lengths) -> float:
-    return geometry.acuteness_margin(mesh, kappa, scale_lengths(mesh, u, lengths))
+def _curvature_and_margin(mesh, kappa, u, lengths) -> tuple[np.ndarray, float]:
+    """K(u) and the acuteness margin at u from one angle evaluation."""
+    angles = geometry.corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths))
+    return curvature_from_angles(mesh, angles), float(np.pi / 2 - angles.max())
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -123,7 +143,8 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 
     A step is accepted when every face stays feasible, the acuteness margin
     stays above ``MIN_MARGIN`` and the 2-norm of K decreases sufficiently.
-    On factorization failure the iteration falls back to a gradient step
+    When the Newton direction is unavailable (singular factor, no descent,
+    or a cotangent singularity) the iteration falls back to a gradient step
     (-K is a descent direction of the locally convex energy).
     """
     cfg = cfg or SolveConfig()
@@ -138,7 +159,6 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 
     result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
                          iterations=0, converged=False)
-    fallback_used = False
     for it in range(cfg.max_iterations):
         res_inf = float(np.max(np.abs(K)))
         if res_inf <= cfg.tolerance:
@@ -147,11 +167,9 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
         try:
             parts = assemble_jacobian(mesh, kappa, u, lengths)
             d = solve_linear_spd(parts, -K)
-            gradient_step = False
         except (NotPositiveDefiniteError, CotangentSingularityError):
             d = -K
-            gradient_step = True
-            fallback_used = True
+            result.used_gradient_fallback = True
         except LinearSolveError as exc:
             raise LinearSolveError(f"iteration {it}: {exc}") from None
 
@@ -161,15 +179,13 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
         for _ in range(cfg.max_backtracks):
             u_trial = u + step * d
             try:
-                margin = _margin(mesh, kappa, u_trial, lengths)
+                K_trial, margin = _curvature_and_margin(mesh, kappa, u_trial, lengths)
             except InfeasibleFaceError:
                 step *= cfg.backtrack_shrink
                 continue
-            if margin <= MIN_MARGIN:
-                step *= cfg.backtrack_shrink
-                continue
-            K_trial = discrete_curvature(mesh, kappa, u_trial, lengths)
-            if float(np.linalg.norm(K_trial)) <= (1.0 - cfg.backtrack_slope * step) * norm2:
+            if margin > MIN_MARGIN and (
+                    float(np.linalg.norm(K_trial))
+                    <= (1.0 - cfg.backtrack_slope * step) * norm2):
                 accepted = True
                 break
             step *= cfg.backtrack_shrink
@@ -180,10 +196,7 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
         u, K = u_trial, K_trial
         result.step_log.append((it + 1, float(np.max(np.abs(K))), step, margin))
         result.iterations = it + 1
-        if gradient_step:
-            result.used_gradient_fallback = True
 
-    result.used_gradient_fallback = fallback_used
     result.u = u
     result.residual_inf = float(np.max(np.abs(K)))
     result.converged = result.residual_inf <= cfg.tolerance

@@ -39,7 +39,7 @@ def test_01_jacobian_matches_finite_differences(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(7):
             kappa, u = random_feasible_instance(m, rng)
-            J = assemble_jacobian(m.mesh, kappa, u, m.lengths).matrix()
+            J = assemble_jacobian(m.mesh, kappa, u, m.lengths).matrix().toarray()
             J_fd = fd_jacobian(m.mesh, kappa, u, m.lengths, h=1e-6)
             worst = max(worst, np.max(np.abs(J - J_fd)) / np.max(np.abs(J)))
             count += 1
@@ -57,7 +57,7 @@ def test_02_jacobian_structure(octagon_levels, capsys):
         for _ in range(5):
             kappa, u = random_feasible_instance(m, rng)
             parts = assemble_jacobian(m.mesh, kappa, u, m.lengths)
-            J = parts.matrix()
+            J = parts.matrix().toarray()
             ok = ok and np.max(np.abs(J - J.T)) <= 1e-12
             # rows sum to zero exactly when summed the way assembly does:
             # off-diagonal row sums plus the (negated) diagonal
@@ -77,7 +77,7 @@ def test_02_jacobian_structure(octagon_levels, capsys):
         ok = ok and acuteness_margin(m.mesh, kappa, lengths) >= 0.05
         parts = assemble_jacobian(m.mesh, kappa,
                                   np.zeros(m.mesh.vertex_count), lengths)
-        ok = ok and np.linalg.eigvalsh(parts.matrix()).min() > 0.0
+        ok = ok and np.linalg.eigvalsh(parts.matrix().toarray()).min() > 0.0
     report(capsys, "criterion 2 jacobian structure", ok)
 
 

@@ -286,6 +286,18 @@ def test_elliptic_flow_precondition_violation(octagon1):
     assert not report.passed
 
 
+def test_elliptic_guards():
+    with pytest.raises(ValueError, match="disconnected"):
+        elliptic_estimate_check(Graph(4, np.array([[0, 1], [2, 3]])),
+                                np.ones(2), np.ones(2), np.zeros(2),
+                                1.0, 1.0, 1.0)
+    # D = 0 leaves the Laplacian, whose LU factor is exactly singular here
+    with pytest.raises(np.linalg.LinAlgError, match="singular system"):
+        elliptic_estimate_check(path2(), np.ones(1), np.ones(1), np.zeros(1),
+                                1.0, 1.0, 1.0, y=np.zeros(2),
+                                diag=np.zeros(2), c4=1.0)
+
+
 def test_elliptic_mean_zero_representative(octagon1):
     mesh = octagon1.mesh
     rng = np.random.default_rng(7)

@@ -3,7 +3,7 @@ import pytest
 
 from dcpm.geometry import model_length, triangle_angles
 from dcpm.jacobian import (CotangentSingularityError, assemble_jacobian,
-                           lambda_factor, tilde_theta)
+                           jacobian_plan, lambda_factor, tilde_theta)
 
 from conftest import fd_jacobian, random_feasible_instance
 
@@ -44,8 +44,26 @@ def test_lambda_factor_identity():
 def test_jacobian_symmetric_exactly(octagon1):
     rng = np.random.default_rng(2)
     kappa, u = random_feasible_instance(octagon1, rng)
-    J = assemble_jacobian(octagon1.mesh, kappa, u, octagon1.lengths).matrix()
+    J = assemble_jacobian(octagon1.mesh, kappa, u,
+                          octagon1.lengths).matrix().toarray()
     assert np.array_equal(J, J.T)
+
+
+def test_jacobian_symmetric_exactly_reversed_parallel_edges(octagon0):
+    # the 8 spokes join the same two vertices; store every other one b -> a
+    from dcpm.mesh import SurfaceMesh
+    s = octagon0.mesh
+    flip = (np.arange(s.edge_count) % 2 == 1) & (s.edges[:, 0] != s.edges[:, 1])
+    mesh = SurfaceMesh(s.vertex_count,
+                       np.where(flip[:, None], s.edges[:, ::-1], s.edges),
+                       s.face_edges,
+                       np.where(flip[s.face_edges], -s.face_signs, s.face_signs),
+                       s.edge_ids, s.face_ids)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        kappa, u = random_feasible_instance(octagon0, rng)
+        J = assemble_jacobian(mesh, kappa, u, octagon0.lengths).matrix()
+        assert (J != J.T).nnz == 0
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -54,7 +72,7 @@ def test_jacobian_matches_finite_differences(octagon_levels, level):
     rng = np.random.default_rng(10 + level)
     for _ in range(3):
         kappa, u = random_feasible_instance(m, rng)
-        J = assemble_jacobian(m.mesh, kappa, u, m.lengths).matrix()
+        J = assemble_jacobian(m.mesh, kappa, u, m.lengths).matrix().toarray()
         J_fd = fd_jacobian(m.mesh, kappa, u, m.lengths)
         scale = np.max(np.abs(J))
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * scale
@@ -66,7 +84,7 @@ def test_jacobian_loops_hit_diagonal(octagon0):
     kappa = np.full(8, -1.0)
     u = np.array([0.02, -0.01])
     parts = assemble_jacobian(octagon0.mesh, kappa, u, octagon0.lengths)
-    J = parts.matrix()
+    J = parts.matrix().toarray()
     J_fd = fd_jacobian(octagon0.mesh, kappa, u, octagon0.lengths)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
     L = parts.laplacian().toarray()
@@ -74,10 +92,27 @@ def test_jacobian_loops_hit_diagonal(octagon0):
     assert L[0, 1] == pytest.approx(parts.eta[:8].sum(), rel=1e-15)
 
 
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_jacobian_plan_cached_and_matches_dense(octagon_levels, level):
+    # the sparse pattern is built once per mesh and shared by every assembly
+    m = octagon_levels[level]
+    rng = np.random.default_rng(20 + level)
+    kappa, u = random_feasible_instance(m, rng)
+    parts = assemble_jacobian(m.mesh, kappa, u, m.lengths)
+    J = parts.matrix()
+    J_other = assemble_jacobian(m.mesh, kappa, 0.5 * u, m.lengths).matrix()
+    assert J.format == "csc"
+    assert jacobian_plan(m.mesh) is jacobian_plan(m.mesh)
+    assert np.shares_memory(J.indices, J_other.indices)
+    ref = -parts.laplacian().toarray() + np.diag(parts.diag)
+    assert np.max(np.abs(J.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_jacobian_positive_definite_acute(octagon0):
     kappa = np.full(8, -1.0)
     u = np.zeros(2)
-    J = assemble_jacobian(octagon0.mesh, kappa, u, octagon0.lengths).matrix()
+    J = assemble_jacobian(octagon0.mesh, kappa, u,
+                          octagon0.lengths).matrix().toarray()
     assert np.linalg.eigvalsh(J).min() > 0
 
 
@@ -108,5 +143,5 @@ def test_jacobian_row_sums_equal_diag_weighted(octagon1):
     rng = np.random.default_rng(4)
     kappa, u = random_feasible_instance(octagon1, rng)
     parts = assemble_jacobian(octagon1.mesh, kappa, u, octagon1.lengths)
-    J = parts.matrix()
+    J = parts.matrix().toarray()
     np.testing.assert_allclose(J.sum(axis=1), parts.diag, atol=1e-13)

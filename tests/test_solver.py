@@ -60,7 +60,7 @@ def test_solve_linear_spd_roundtrip(octagon1):
                               octagon1.lengths)
     rhs = rng.normal(size=octagon1.mesh.vertex_count)
     d = solve_linear_spd(parts, rhs)
-    np.testing.assert_allclose(parts.matrix() @ d, rhs, atol=1e-11)
+    np.testing.assert_allclose(parts.matrix().toarray() @ d, rhs, atol=1e-11)
 
 
 def test_solve_linear_not_pd(octagon1):
@@ -128,6 +128,36 @@ def test_newton_step_log_margins(octagon1):
     for _, _, step, margin in result.step_log:
         assert 0 < step <= 1.0
         assert margin > -np.pi / 4
+
+
+def test_newton_gradient_fallback(octagon1, monkeypatch):
+    # a failed Newton solve is replaced by a gradient step, d = -K
+    from dcpm import solver
+    m = octagon1
+    kappa = kappa_const(m)
+    real_solve = solver.solve_linear_spd
+    calls = []
+
+    def fail_first(parts, rhs):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise NotPositiveDefiniteError("forced")
+        return real_solve(parts, rhs)
+
+    monkeypatch.setattr(solver, "solve_linear_spd", fail_first)
+    K0 = discrete_curvature(m.mesh, kappa, np.zeros(m.mesh.vertex_count),
+                            m.lengths)
+    one = newton_solve(m.mesh, kappa, m.lengths, SolveConfig(max_iterations=1))
+    assert one.used_gradient_fallback
+    assert one.iterations == 1
+    np.testing.assert_array_equal(one.u, -one.step_log[0][2] * K0)
+
+    calls.clear()
+    result = newton_solve(m.mesh, kappa, m.lengths)
+    assert result.used_gradient_fallback
+    assert result.converged
+    assert len(calls) > 1
+    assert not newton_solve(m.mesh, kappa, m.lengths).used_gradient_fallback
 
 
 def test_newton_max_iterations_respected(octagon1):
