@@ -14,10 +14,14 @@ reverse direction negates the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+
+from .mesh import vertex_components
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ISOPERIMETRIC_VERTEX_CAP = 24
 
@@ -60,6 +64,8 @@ def laplacian_matrix(graph, eta: np.ndarray) -> sp.csr_matrix:
     rows sum to zero exactly (in floating point) for any checker that sums
     the off-diagonal entries the same way.
     """
+    import scipy.sparse as sp
+
     a, b = graph.edges[:, 0], graph.edges[:, 1]
     keep = a != b
     a, b, w = a[keep], b[keep], np.asarray(eta, dtype=float)[keep]
@@ -90,23 +96,6 @@ def perimeter_area(graph, lengths: np.ndarray,
     return perimeter, area, total
 
 
-def _check_connected(graph) -> bool:
-    seen = np.zeros(graph.vertex_count, dtype=bool)
-    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for a, b in graph.edges:
-        adj[a].append(int(b))
-        adj[b].append(int(a))
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return bool(seen.all())
-
-
 def isoperimetric_constant(graph, lengths: np.ndarray,
                            chunk: int = 1 << 18) -> float:
     """Smallest C with min{|V0|, |V|-|V0|} <= C*|boundary V0|^2 for all V0.
@@ -119,7 +108,7 @@ def isoperimetric_constant(graph, lengths: np.ndarray,
         raise ValueError(
             f"isoperimetric enumeration capped at {ISOPERIMETRIC_VERTEX_CAP} "
             f"vertices (got {n})")
-    if not _check_connected(graph):
+    if vertex_components(n, graph.edges).any():
         raise ValueError("graph is disconnected")
     lengths = np.asarray(lengths, dtype=float)
     total = float((lengths ** 2).sum())
@@ -188,8 +177,11 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
     linf = float(np.max(np.abs(lengths)))
     area_half = float(np.sqrt((lengths ** 2).sum()))
     rhs = divergence(graph, x)
-    if not _check_connected(graph):
+    if vertex_components(graph.vertex_count, graph.edges).any():
         raise ValueError("graph is disconnected")
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
 
     L = laplacian_matrix(graph, eta).tocsc()
     h = np.zeros(graph.vertex_count)

@@ -5,6 +5,9 @@ are printed with 17 significant digits so runs diff byte-for-byte.
 
 Exit codes: 0 success, 2 parse/validation error, 3 infeasible configuration,
 4 non-convergence (best iterate still written).
+
+Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
+solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
 """
 
 from __future__ import annotations
@@ -66,15 +69,19 @@ def _read_mesh(path: str):
         raise CliError(f"invalid mesh: {exc}")
 
 
+def _const_kappa(spec: str) -> float:
+    try:
+        value = float(spec[len("const:"):])
+    except ValueError:
+        raise CliError(f"bad curvature literal {spec!r}")
+    if not (value < 0 and np.isfinite(value)):
+        raise CliError("curvature must be finite and negative")
+    return value
+
+
 def _read_kappa(spec: str, mesh: SurfaceMesh) -> np.ndarray:
     if spec.startswith("const:"):
-        try:
-            value = float(spec[len("const:"):])
-        except ValueError:
-            raise CliError(f"bad curvature literal {spec!r}")
-        if not value < 0:
-            raise CliError("curvature must be negative")
-        return np.full(mesh.face_count, value)
+        return np.full(mesh.face_count, _const_kappa(spec))
     try:
         text = Path(spec).read_text()
     except OSError as exc:
@@ -92,6 +99,13 @@ def _require_eligible(mesh: SurfaceMesh):
     if report.genus < 2:
         raise CliError(f"genus >= 2 required (got genus {report.genus})")
     return report
+
+
+def _config(cls, **fields):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _write_u(path: str, u: np.ndarray) -> None:
@@ -114,7 +128,7 @@ def cmd_solve(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
     topo = _require_eligible(mesh)
     kappa = _read_kappa(args.kappa, mesh)
-    cfg = SolveConfig(tolerance=args.tol, max_iterations=args.max_iter)
+    cfg = _config(SolveConfig, tolerance=args.tol, max_iterations=args.max_iter)
 
     t0 = time.perf_counter()
     try:
@@ -146,7 +160,7 @@ def cmd_flow(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
     topo = _require_eligible(mesh)
     kappa = _read_kappa(args.kappa, mesh)
-    cfg = ContinuationConfig(steps=args.steps, newton_polish=args.polish)
+    cfg = _config(ContinuationConfig, steps=args.steps, newton_polish=args.polish)
 
     t0 = time.perf_counter()
     try:
@@ -235,12 +249,7 @@ def cmd_gen(args) -> int:
 def cmd_converge(args) -> int:
     if not args.kappa.startswith("const:"):
         raise CliError("converge supports only const:<value> curvature")
-    try:
-        value = float(args.kappa[len("const:"):])
-    except ValueError:
-        raise CliError(f"bad curvature literal {args.kappa!r}")
-    if not value < 0:
-        raise CliError("curvature must be negative")
+    value = _const_kappa(args.kappa)
     if args.levels < 1:
         raise CliError("--levels must be >= 1")
     rows = models.convergence_study(args.levels, value)

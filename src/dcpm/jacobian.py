@@ -10,12 +10,15 @@ the test suite).  The sparse matrix is filled into a per-mesh pattern,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import corner_angles, scale_lengths
 from .mesh import SurfaceMesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 COT_SINGULARITY_TOL = 1e-12
 
@@ -106,6 +109,8 @@ class JacobianParts:
 
     def matrix(self) -> sp.csc_matrix:
         """Sparse Jacobian D - Delta_eta, filled into the mesh's plan."""
+        import scipy.sparse as sp
+
         plan = jacobian_plan(self.mesh)
         w = self.eta[plan.keep]
         values = np.concatenate([-w, -w, w, w, self.diag])

@@ -18,6 +18,7 @@ edge a→b, ``-`` walks it b→a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +117,6 @@ class SurfaceMesh:
 
     # -- incidence tables ---------------------------------------------------
 
-    def edges_at_vertex(self) -> list[list[int]]:
-        """Edge indices incident to each vertex (loops listed once)."""
-        table: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, (a, b) in enumerate(self.edges):
-            table[a].append(e)
-            if b != a:
-                table[b].append(e)
-        return table
-
     def faces_at_edge(self) -> list[list[tuple[int, int]]]:
         """(face index, slot) pairs using each edge."""
         table: list[list[tuple[int, int]]] = [[] for _ in range(self.edge_count)]
@@ -220,8 +212,8 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise MeshError(f"line {lineno}: vertex id out of range")
             length = _parse_float(toks[4], "length", lineno)
-            if not length > 0:
-                raise MeshError(f"line {lineno}: edge length must be > 0")
+            if not (length > 0 and math.isfinite(length)):
+                raise MeshError(f"line {lineno}: edge length must be finite and > 0")
             eid_to_index[eid] = len(edge_ids)
             edge_ids.append(eid)
             edge_verts.append((a, b))
@@ -264,8 +256,7 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
     face_edges = np.array([r[0] for r in face_rows], dtype=np.int64)
     face_signs = np.array([r[1] for r in face_rows], dtype=np.int64)
 
-    slot_count = np.zeros(len(edge_ids), dtype=np.int64)
-    np.add.at(slot_count, face_edges.ravel(), 1)
+    slot_count = np.bincount(face_edges.ravel(), minlength=len(edge_ids))
     if (slot_count > 2).any():
         eid = edge_ids[int(np.argmax(slot_count > 2))]
         raise MeshError(f"non-manifold edge {eid}: used by more than 2 face slots")
@@ -285,16 +276,41 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
 def dump_mesh(mesh: SurfaceMesh, lengths: np.ndarray) -> str:
     """Serialize back to the mesh file format (round-trip identity)."""
     out = [MAGIC, f"v {mesh.vertex_count}"]
-    for e in range(mesh.edge_count):
-        a, b = mesh.edges[e]
-        out.append(f"e {mesh.edge_ids[e]} {a} {b} {lengths[e]:.17g}")
-    for f in range(mesh.face_count):
-        refs = []
-        for s in range(3):
-            eid = mesh.edge_ids[mesh.face_edges[f, s]]
-            refs.append(f"+{eid}" if mesh.face_signs[f, s] > 0 else f"-{eid}")
-        out.append(f"f {mesh.face_ids[f]} {' '.join(refs)}")
+    out += [f"e {eid} {a} {b} {length:.17g}" for eid, (a, b), length in zip(
+        mesh.edge_ids.tolist(), mesh.edges.tolist(), np.asarray(lengths).tolist())]
+    refs = iter([f"{'+' if sign > 0 else '-'}{eid}" for eid, sign in zip(
+        mesh.edge_ids[mesh.face_edges].ravel().tolist(),
+        mesh.face_signs.ravel().tolist())])
+    out += [f"f {fid} {r0} {r1} {r2}"
+            for fid, r0, r1, r2 in zip(mesh.face_ids.tolist(), refs, refs, refs)]
     return "\n".join(out) + "\n"
+
+
+def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
+    """Connected component of each vertex, labelled by its smallest vertex id.
+
+    Min-label propagation with pointer jumping: every root of the label
+    forest hooks onto the smallest root it shares an edge with, then each
+    label is jumped to its root.  Roots at least halve every two rounds, so
+    it takes O(log V) rounds of O(E + V) array work.  Loops, multi-edges
+    and isolated vertices are allowed.
+    """
+    label = np.arange(vertex_count)
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        la, lb = label[a], label[b]
+        lo = np.minimum(la, lb)
+        hooked = label.copy()
+        np.minimum.at(hooked, la, lo)
+        np.minimum.at(hooked, lb, lo)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
@@ -307,10 +323,10 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     violations: list[str] = []
 
     # Each edge must be traversed once in each direction by its two slots.
-    sign_sum = np.zeros(mesh.edge_count, dtype=np.int64)
-    np.add.at(sign_sum, mesh.face_edges.ravel(), mesh.face_signs.ravel())
-    slot_count = np.zeros(mesh.edge_count, dtype=np.int64)
-    np.add.at(slot_count, mesh.face_edges.ravel(), 1)
+    slots = mesh.face_edges.ravel()
+    sign_sum = np.bincount(slots, weights=mesh.face_signs.ravel(),
+                           minlength=mesh.edge_count)
+    slot_count = np.bincount(slots, minlength=mesh.edge_count)
     for e in np.nonzero(slot_count != 2)[0]:
         violations.append(f"edge {mesh.edge_ids[e]} used by {slot_count[e]} "
                           "face slots (expected 2)")
@@ -319,18 +335,7 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
                           "same direction (orientation defect)")
 
     # Connectivity of the 1-skeleton (vertices + edges).
-    seen = np.zeros(mesh.vertex_count, dtype=bool)
-    adj = mesh.edges_at_vertex()
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for e in adj[v]:
-            for w in mesh.edges[e]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-    if not seen.all():
+    if vertex_components(mesh.vertex_count, mesh.edges).any():
         violations.append("mesh is disconnected")
 
     chi = mesh.euler_characteristic
@@ -338,14 +343,14 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
         violations.append(f"odd Euler characteristic {chi}")
     genus = (2 - chi) // 2
 
-    degree = np.zeros(mesh.vertex_count, dtype=np.int64)
-    np.add.at(degree, mesh.edges.ravel(), 1)
+    degree = np.bincount(mesh.edges.ravel(), minlength=mesh.vertex_count)
 
-    has_loop = bool((mesh.edges[:, 0] == mesh.edges[:, 1]).any())
-    key = np.sort(mesh.edges, axis=1)
-    has_multi = len(np.unique(key, axis=0)) < mesh.edge_count
-    degenerate_face = any(len(set(mesh.face_corners[f])) < 3
-                          for f in range(mesh.face_count))
+    lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
+    key = np.sort(lo * mesh.vertex_count + hi)
+    has_loop = bool((lo == hi).any())
+    has_multi = bool((key[1:] == key[:-1]).any())
+    c0, c1, c2 = mesh.face_corners.T
+    degenerate_face = bool(((c0 == c1) | (c1 == c2) | (c2 == c0)).any())
     is_simplicial = not (has_loop or has_multi or degenerate_face)
 
     return TopologyReport(chi=chi, genus=genus, is_simplicial=is_simplicial,
@@ -376,6 +381,6 @@ def load_face_curvature(text: str, mesh: SurfaceMesh) -> np.ndarray:
     extra = set(values) - set(int(i) for i in mesh.face_ids)
     if extra:
         raise MeshError(f"curvature given for unknown face {min(extra)}")
-    if not (kappa < 0).all():
-        raise MeshError("face curvatures must be strictly negative")
+    if not (np.isfinite(kappa) & (kappa < 0)).all():
+        raise MeshError("face curvatures must be finite and strictly negative")
     return kappa

@@ -100,56 +100,42 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
     """
     mesh, lengths = m.mesh, m.lengths
     V, E, F = mesh.vertex_count, mesh.edge_count, mesh.face_count
+    fe = mesh.face_edges
 
     # new edges: halves 2e (tail -> mid) and 2e+1 (mid -> head), then
     # inner edges 2E + 3f + s connecting midpoints of face f's sides s, s+1
-    new_edges = np.empty((2 * E + 3 * F, 2), dtype=np.int64)
-    new_lengths = np.empty(2 * E + 3 * F)
-    for e in range(E):
-        a, b = mesh.edges[e]
-        mid = V + e
-        new_edges[2 * e] = (a, mid)
-        new_edges[2 * e + 1] = (mid, b)
-        new_lengths[2 * e] = new_lengths[2 * e + 1] = lengths[e] / 2.0
+    mids = V + np.arange(E)
+    halves = np.stack([mesh.edges[:, 0], mids, mids, mesh.edges[:, 1]], axis=1)
+    inner_edges = np.stack([V + fe, V + np.roll(fe, -1, axis=1)], axis=2)
+    new_edges = np.concatenate([halves.reshape(-1, 2), inner_edges.reshape(-1, 2)])
 
-    new_face_edges = np.empty((4 * F, 3), dtype=np.int64)
-    new_face_signs = np.empty((4 * F, 3), dtype=np.int64)
+    # corners c0, c1, c2 of each face in the hyperboloid, then the inner
+    # lengths between geodesic midpoints of sides s and s+1
+    corners = np.array([embed_triangle(l0, l2, l1)
+                        for l0, l1, l2 in lengths[fe].tolist()]).reshape(F, 3, 3)
+    side_mids = geodesic_midpoint(corners, np.roll(corners, -1, axis=1))
+    inner_lengths = hyperbolic_distance(side_mids, np.roll(side_mids, -1, axis=1))
+    new_lengths = np.concatenate([np.repeat(lengths / 2.0, 2), inner_lengths.ravel()])
 
-    def half_from_corner(f: int, s: int) -> tuple[int, int]:
-        # directed sub-edge from corner s along side s to its midpoint
-        e = mesh.face_edges[f, s]
-        return (2 * e, 1) if mesh.face_signs[f, s] > 0 else (2 * e + 1, -1)
-
-    def half_to_corner(f: int, s: int) -> tuple[int, int]:
-        # directed sub-edge from the midpoint of side s-1 to corner s
-        e = mesh.face_edges[f, (s - 1) % 3]
-        return (2 * e + 1, 1) if mesh.face_signs[f, (s - 1) % 3] > 0 else (2 * e, -1)
-
-    for f in range(F):
-        ls = lengths[mesh.face_edges[f]]
-        pts = embed_triangle(ls[0], ls[2], ls[1])   # corners c0, c1, c2
-        corners = np.array([pts[0], pts[1], pts[2]])
-        mids = np.array([geodesic_midpoint(corners[s], corners[(s + 1) % 3])
-                         for s in range(3)])
-        inner = [2 * E + 3 * f + s for s in range(3)]
-        for s in range(3):
-            new_edges[inner[s]] = (V + mesh.face_edges[f, s],
-                                   V + mesh.face_edges[f, (s + 1) % 3])
-            new_lengths[inner[s]] = float(
-                hyperbolic_distance(mids[s], mids[(s + 1) % 3]))
-        # corner faces, then the inner face
-        for s in range(3):
-            e_out, sgn_out = half_from_corner(f, s)
-            e_in, sgn_in = half_to_corner(f, s)
-            new_face_edges[4 * f + s] = (e_out, inner[(s - 1) % 3], e_in)
-            new_face_signs[4 * f + s] = (sgn_out, -1, sgn_in)
-        new_face_edges[4 * f + 3] = inner
-        new_face_signs[4 * f + 3] = (1, 1, 1)
+    # corner face 4f+s: the half of side s leaving corner s, the inner edge
+    # across the corner, the half of side s-1 arriving at corner s; then the
+    # inner face 4f+3
+    forward = mesh.face_signs > 0
+    sign = np.where(forward, 1, -1)
+    out_half = 2 * fe + ~forward
+    in_half = np.roll(2 * fe + forward, 1, axis=1)
+    inner = 2 * E + np.arange(3 * F).reshape(F, 3)
+    corner_faces = np.stack([out_half, np.roll(inner, 1, axis=1), in_half], axis=2)
+    corner_signs = np.stack([sign, -np.ones_like(sign), np.roll(sign, 1, axis=1)],
+                            axis=2)
+    new_face_edges = np.concatenate([corner_faces, inner[:, None]], axis=1)
+    new_face_signs = np.concatenate([corner_signs, np.ones((F, 1, 3), np.int64)],
+                                    axis=1)
 
     new_mesh = SurfaceMesh(vertex_count=V + E,
                            edges=new_edges,
-                           face_edges=new_face_edges,
-                           face_signs=new_face_signs,
+                           face_edges=new_face_edges.reshape(-1, 3),
+                           face_signs=new_face_signs.reshape(-1, 3),
                            edge_ids=np.arange(2 * E + 3 * F),
                            face_ids=np.arange(4 * F))
     return ModelSurface(mesh=new_mesh, lengths=new_lengths, level=m.level + 1,

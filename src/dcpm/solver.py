@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import geometry
 from .geometry import (InfeasibleFaceError, curvature_from_angles,
@@ -59,7 +58,7 @@ class SolveConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -100,6 +99,8 @@ def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
     that test fails, and :class:`LinearSolveError` when the recomputed
     residual max|J d - rhs| exceeds ``LINEAR_RESIDUAL_RTOL * max|rhs|``.
     """
+    from scipy.sparse.linalg import splu
+
     J = parts.matrix()
     try:
         d = splu(J).solve(rhs)

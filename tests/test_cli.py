@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dcpm
 from dcpm.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NO_CONVERGENCE,
                       EXIT_OK, main)
 from dcpm.mesh import dump_mesh
@@ -114,6 +121,71 @@ def test_solve_curvature_file(tmp_path, mesh_file, octagon1):
         f"k {f} -1.1" for f in range(octagon1.mesh.face_count)))
     assert main(["solve", "--mesh", mesh_file, "--kappa", str(kfile),
                  "--out", str(tmp_path / "u")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("solve", "--tol", "-1"),
+    ("solve", "--tol", "nan"),
+    ("solve", "--max-iter", "0"),
+    ("flow", "--steps", "0"),
+])
+def test_config_error_exit(tmp_path, mesh_file, capsys, cmd, flag, value):
+    code = main([cmd, "--mesh", mesh_file, "--kappa", "const:-1", flag, value,
+                 "--out", str(tmp_path / "u")])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_rejects_infinite_kappa(tmp_path, mesh_file, capsys):
+    assert main(["solve", "--mesh", mesh_file, "--kappa", "const:-inf",
+                 "--out", str(tmp_path / "u")]) == EXIT_INVALID
+    assert "finite" in capsys.readouterr().err
+
+
+def test_curvature_file_rejects_infinite(tmp_path, mesh_file, octagon1):
+    kfile = tmp_path / "kappa.txt"
+    kfile.write_text("\n".join(
+        f"k {f} {'-inf' if f == 3 else '-1.1'}"
+        for f in range(octagon1.mesh.face_count)))
+    assert main(["solve", "--mesh", mesh_file, "--kappa", str(kfile),
+                 "--out", str(tmp_path / "u")]) == EXIT_INVALID
+
+
+def test_check_rejects_infinite_length(tmp_path, octagon1, capsys):
+    path = tmp_path / "m.mesh"
+    lengths = octagon1.lengths.copy()
+    lengths[0] = np.inf
+    path.write_text(dump_mesh(octagon1.mesh, lengths))
+    assert main(["check", "--mesh", str(path)]) == EXIT_INVALID
+    assert "length" in capsys.readouterr().err
+
+
+LAZY_SCIPY_SCRIPT = """
+import json, sys
+import dcpm.cli
+mesh, report, u = sys.argv[1:]
+codes = [dcpm.cli.main(["gen", "octagon", "--refine", "2", "--out", mesh]),
+         dcpm.cli.main(["check", "--mesh", mesh, "--report", report])]
+before = [m for m in sys.modules if m.startswith("scipy")]
+codes.append(dcpm.cli.main(["solve", "--mesh", mesh, "--kappa", "const:-1",
+                            "--out", u]))
+print(json.dumps({"codes": codes, "scipy_before_solve": before}))
+"""
+
+
+def test_gen_and_check_do_not_load_scipy(tmp_path):
+    src = str(Path(dcpm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path / "m.mesh"),
+         str(tmp_path / "check.txt"), str(tmp_path / "u.out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["scipy_before_solve"] == []
+    assert result["codes"] == [EXIT_OK, EXIT_OK, EXIT_OK]
 
 
 # -- flow ------------------------------------------------------------------

@@ -1,8 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcpm.mesh import MeshError, dump_mesh, load_face_curvature, load_mesh, \
-    validate_topology
+from dcpm.mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
+    load_mesh, validate_topology, vertex_components
 
 from conftest import TETRA_TEXT
 
@@ -37,6 +41,19 @@ def test_octagon_topology(octagon0):
     assert not report.is_simplicial          # two vertices, loops, multi-edges
     assert report.solver_eligible
 
+    # two disjoint copies: a genus-3 complex whose 1-skeleton is disconnected
+    m, V, E = octagon0.mesh, octagon0.mesh.vertex_count, octagon0.mesh.edge_count
+    pair = SurfaceMesh(vertex_count=2 * V,
+                       edges=np.concatenate([m.edges, m.edges + V]),
+                       face_edges=np.concatenate([m.face_edges, m.face_edges + E]),
+                       face_signs=np.concatenate([m.face_signs, m.face_signs]),
+                       edge_ids=np.arange(2 * E),
+                       face_ids=np.arange(2 * m.face_count))
+    pair_report = validate_topology(pair)
+    assert pair_report.violations == ["mesh is disconnected"]
+    assert pair_report.is_simplicial == report.is_simplicial
+    assert not pair_report.solver_eligible
+
 
 def test_refined_octagon_counts(octagon1):
     mesh = octagon1.mesh
@@ -53,6 +70,38 @@ def test_euler_and_count_invariants(octagon_levels, level):
     report = validate_topology(mesh)
     assert mesh.euler_characteristic == 2 - 2 * report.genus
     assert 3 * mesh.face_count == 2 * mesh.edge_count
+
+
+def bfs_components(vertex_count, edges):
+    """Reference: label each vertex by the smallest vertex id reachable."""
+    adj = [[] for _ in range(vertex_count)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * vertex_count
+    for start in range(vertex_count):
+        if label[start] < 0:
+            label[start] = start
+            queue = deque([start])
+            while queue:
+                for w in adj[queue.popleft()]:
+                    if label[w] < 0:
+                        label[w] = start
+                        queue.append(w)
+    return label
+
+
+multigraphs = st.integers(1, 200).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs)
+def test_vertex_components_matches_bfs(graph):
+    n, edges = graph
+    labels = vertex_components(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    assert labels.tolist() == bfs_components(n, edges)
 
 
 def test_roundtrip_identity(octagon2):

@@ -96,6 +96,52 @@ def test_octagon_fixture_matches_levels(octagon_levels):
     np.testing.assert_array_equal(m.lengths, octagon_levels[2].lengths)
 
 
+def loop_refine(m):
+    """Reference: per-face loop form of midpoint refinement.
+
+    Returns (edges, face_edges, face_signs, lengths) of the refined mesh.
+    """
+    mesh, lengths = m.mesh, m.lengths
+    V, E, F = mesh.vertex_count, mesh.edge_count, mesh.face_count
+    edges = np.empty((2 * E + 3 * F, 2), dtype=np.int64)
+    new_lengths = np.empty(2 * E + 3 * F)
+    for e in range(E):
+        a, b = mesh.edges[e]
+        edges[2 * e], edges[2 * e + 1] = (a, V + e), (V + e, b)
+        new_lengths[2 * e] = new_lengths[2 * e + 1] = lengths[e] / 2.0
+    face_edges = np.empty((4 * F, 3), dtype=np.int64)
+    face_signs = np.empty((4 * F, 3), dtype=np.int64)
+    for f in range(F):
+        fe, fs = mesh.face_edges[f], mesh.face_signs[f]
+        ls = lengths[fe]
+        pts = embed_triangle(ls[0], ls[2], ls[1])
+        mids = [geodesic_midpoint(pts[s], pts[(s + 1) % 3]) for s in range(3)]
+        inner = [2 * E + 3 * f + s for s in range(3)]
+        for s in range(3):
+            edges[inner[s]] = (V + fe[s], V + fe[(s + 1) % 3])
+            new_lengths[inner[s]] = float(
+                hyperbolic_distance(mids[s], mids[(s + 1) % 3]))
+            e_out = 2 * fe[s] if fs[s] > 0 else 2 * fe[s] + 1
+            p = (s - 1) % 3
+            e_in = 2 * fe[p] + 1 if fs[p] > 0 else 2 * fe[p]
+            face_edges[4 * f + s] = (e_out, inner[p], e_in)
+            face_signs[4 * f + s] = (1 if fs[s] > 0 else -1, -1,
+                                     1 if fs[p] > 0 else -1)
+        face_edges[4 * f + 3] = inner
+        face_signs[4 * f + 3] = (1, 1, 1)
+    return edges, face_edges, face_signs, new_lengths
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_refine_midpoint_matches_loop_reference(octagon_levels, level):
+    coarse, fine = octagon_levels[level], octagon_levels[level + 1]
+    edges, face_edges, face_signs, lengths = loop_refine(coarse)
+    np.testing.assert_array_equal(fine.mesh.edges, edges)
+    np.testing.assert_array_equal(fine.mesh.face_edges, face_edges)
+    np.testing.assert_array_equal(fine.mesh.face_signs, face_signs)
+    assert fine.lengths.tobytes() == lengths.tobytes()     # bit for bit
+
+
 # -- curvature families --------------------------------------------------------
 
 def test_dual_distance_kappa(octagon1):
