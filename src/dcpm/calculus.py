@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 ISOPERIMETRIC_VERTEX_CAP = 24
+ISOPERIMETRIC_CHUNK = 1 << 18
 
 
 @dataclass
@@ -96,8 +97,7 @@ def perimeter_area(graph, lengths: np.ndarray,
     return perimeter, area, total
 
 
-def isoperimetric_constant(graph, lengths: np.ndarray,
-                           chunk: int = 1 << 18) -> float:
+def isoperimetric_constant(graph, lengths: np.ndarray) -> float:
     """Smallest C with min{|V0|, |V|-|V0|} <= C*|boundary V0|^2 for all V0.
 
     Exhaustive over all proper nonempty vertex subsets; exact but
@@ -116,8 +116,8 @@ def isoperimetric_constant(graph, lengths: np.ndarray,
     l1, l2 = lengths, lengths ** 2
 
     best = 0.0
-    for start in range(1, (1 << n) - 1, chunk):
-        stop = min(start + chunk, (1 << n) - 1)
+    for start in range(1, (1 << n) - 1, ISOPERIMETRIC_CHUNK):
+        stop = min(start + ISOPERIMETRIC_CHUNK, (1 << n) - 1)
         masks = np.arange(start, stop, dtype=np.int64)
         a_in = (masks[:, None] >> a[None, :]) & 1
         b_in = (masks[:, None] >> b[None, :]) & 1

@@ -3,8 +3,9 @@
 Reports are machine readable ``key = value`` lines on stdout; all numbers
 are printed with 17 significant digits so runs diff byte-for-byte.
 
-Exit codes: 0 success, 2 parse/validation error, 3 infeasible configuration,
-4 non-convergence (best iterate still written).
+Exit codes, all mapped in :func:`main`: 0 success, 2 parse/validation
+error, 3 infeasible configuration, 4 non-convergence (best iterate still
+written).  Each of 2, 3 and 4 writes one ``error:`` line to stderr.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -24,8 +25,8 @@ from .calculus import isoperimetric_constant
 from .geometry import InfeasibleFaceError
 from .mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
     load_mesh, validate_topology
-from .solver import ContinuationConfig, SolveConfig, SolverInputError, \
-    continuation_solve, newton_solve
+from .solver import ContinuationConfig, InfeasibleStartError, SolveConfig, \
+    SolverInputError, continuation_solve, newton_solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -92,15 +93,6 @@ def _read_kappa(spec: str, mesh: SurfaceMesh) -> np.ndarray:
         raise CliError(f"invalid curvature file: {exc}")
 
 
-def _require_eligible(mesh: SurfaceMesh):
-    report = validate_topology(mesh)
-    if report.violations:
-        raise CliError("invalid mesh: " + "; ".join(report.violations))
-    if report.genus < 2:
-        raise CliError(f"genus >= 2 required (got genus {report.genus})")
-    return report
-
-
 def _config(cls, **fields):
     try:
         return cls(**fields)
@@ -113,33 +105,29 @@ def _write_u(path: str, u: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray, topo) -> dict:
+def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
     return {
         "vertices": mesh.vertex_count,
         "edges": mesh.edge_count,
         "faces": mesh.face_count,
-        "chi": topo.chi,
-        "genus": topo.genus,
+        "chi": mesh.euler_characteristic,
+        "genus": mesh.genus,
         "max_length": geometry.max_length(lengths),
     }
 
 
 def cmd_solve(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
-    topo = _require_eligible(mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(SolveConfig, tolerance=args.tol, max_iterations=args.max_iter)
 
     t0 = time.perf_counter()
-    try:
-        result = newton_solve(mesh, kappa, lengths, cfg)
-    except SolverInputError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    result = newton_solve(mesh, kappa, lengths, cfg)
     elapsed = time.perf_counter() - t0
 
     recomputed = geometry.discrete_curvature(mesh, kappa, result.u, lengths)
     final_res = float(np.max(np.abs(recomputed)))
-    report = {"command": "solve", **_input_digest(mesh, lengths, topo)}
+    report = {"command": "solve", **_input_digest(mesh, lengths)}
     report.update({
         "iterations": result.iterations,
         "converged": result.converged,
@@ -158,21 +146,17 @@ def cmd_solve(args) -> int:
 
 def cmd_flow(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
-    topo = _require_eligible(mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(ContinuationConfig, steps=args.steps, newton_polish=args.polish)
 
     t0 = time.perf_counter()
-    try:
-        result = continuation_solve(mesh, kappa, lengths,
-                                    np.zeros(mesh.vertex_count), cfg)
-    except SolverInputError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    result = continuation_solve(mesh, kappa, lengths,
+                                np.zeros(mesh.vertex_count), cfg)
     elapsed = time.perf_counter() - t0
 
     recomputed = geometry.discrete_curvature(mesh, kappa, result.u, lengths)
     final_res = float(np.max(np.abs(recomputed)))
-    report = {"command": "flow", **_input_digest(mesh, lengths, topo)}
+    report = {"command": "flow", **_input_digest(mesh, lengths)}
     report.update({
         "steps": args.steps,
         "newton_polish": args.polish,
@@ -198,7 +182,7 @@ def cmd_check(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
     topo = validate_topology(mesh)
     kappa = _read_kappa(args.kappa, mesh)
-    report = {"command": "check", **_input_digest(mesh, lengths, topo)}
+    report = {"command": "check", **_input_digest(mesh, lengths)}
     report.update({
         "is_simplicial": topo.is_simplicial,
         "max_vertex_degree": topo.max_vertex_degree,
@@ -313,13 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code != EXIT_NO_CONVERGENCE:
+            return code
+        message = "no convergence; the best iterate was written"
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except InfeasibleFaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        code, message = exc.code, str(exc)
+    except (InfeasibleStartError, InfeasibleFaceError) as exc:
+        code, message = EXIT_INFEASIBLE, str(exc)
+    except SolverInputError as exc:
+        code, message = EXIT_INVALID, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

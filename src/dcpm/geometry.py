@@ -18,9 +18,13 @@ TWO_PI = 2.0 * np.pi
 # keeps acos away from its branch points at near-degenerate triangles.
 FEASIBILITY_RTOL = 1e-12
 
+# A face is also infeasible when its model perimeter is not finite or exceeds
+# log(float max): the sinh products of the half-angle formula would overflow.
+MAX_MODEL_PERIMETER = float(np.log(np.finfo(float).max))
+
 
 class InfeasibleFaceError(Exception):
-    """Triangle inequality fails on a face's model lengths."""
+    """A face's model lengths fail the triangle inequality or overflow."""
 
     def __init__(self, face_ids):
         self.face_ids = list(face_ids)
@@ -28,7 +32,7 @@ class InfeasibleFaceError(Exception):
             "infeasible face(s) "
             + ", ".join(str(f) for f in self.face_ids[:8])
             + ("..." if len(self.face_ids) > 8 else "")
-            + ": model lengths violate the triangle inequality")
+            + ": model lengths violate the triangle inequality or overflow")
 
 
 def scale_lengths(mesh: SurfaceMesh, u: np.ndarray,
@@ -67,7 +71,7 @@ def infeasible_slots(H: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of (..., 3) model lengths failing feasibility."""
     s = H.sum(axis=-1)
     m = H.max(axis=-1)
-    return m >= (s - m) - FEASIBILITY_RTOL * m
+    return (m >= (s - m) - FEASIBILITY_RTOL * m) | ~(s <= MAX_MODEL_PERIMETER)
 
 
 def triangle_angles(H: np.ndarray) -> np.ndarray:

@@ -67,9 +67,23 @@ class SurfaceMesh:
         self.edge_ids = np.ascontiguousarray(self.edge_ids, dtype=np.int64)
         self.face_ids = np.ascontiguousarray(self.face_ids, dtype=np.int64)
 
+        # every vertex of a closed surface is a face corner
+        if self.vertex_count > 3 * len(self.face_edges):
+            raise MeshError(f"vertex count {self.vertex_count} exceeds "
+                            "3 * face count")
         if self.edges.size and (self.edges.min() < 0
                                 or self.edges.max() >= self.vertex_count):
             raise MeshError("edge endpoint out of vertex range")
+        if self.face_edges.size and (self.face_edges.min() < 0
+                                     or self.face_edges.max() >= len(self.edges)):
+            raise MeshError("face edge index out of range")
+        slot_count = np.bincount(self.face_edges.ravel(), minlength=len(self.edges))
+        if (slot_count > 2).any():
+            eid = self.edge_ids[np.argmax(slot_count > 2)]
+            raise MeshError(f"non-manifold edge {eid}: used by more than 2 face slots")
+        if (slot_count < 2).any():
+            eid = self.edge_ids[np.argmax(slot_count < 2)]
+            raise MeshError(f"dangling edge {eid}: not used by exactly 2 face slots")
 
         # Corner s = tail of directed edge s; check head-to-tail chaining.
         tails = np.where(self.face_signs > 0,
@@ -86,11 +100,9 @@ class SurfaceMesh:
                 "head-to-tail")
         self.face_corners = tails
 
-        for a in (self.vertex_count, self.edges, self.face_edges,
-                  self.face_signs, self.edge_ids, self.face_ids,
-                  self.face_corners):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        for a in (self.edges, self.face_edges, self.face_signs, self.edge_ids,
+                  self.face_ids, self.face_corners):
+            a.flags.writeable = False
 
     @property
     def edge_count(self) -> int:
@@ -104,26 +116,11 @@ class SurfaceMesh:
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.face_count
 
-    def edge_index(self, edge_id: int) -> int:
-        """Position of an external edge id in the internal arrays."""
-        lookup = getattr(self, "_eid_lookup", None)
-        if lookup is None:
-            lookup = {int(eid): e for e, eid in enumerate(self.edge_ids)}
-            self._eid_lookup = lookup
-        try:
-            return lookup[edge_id]
-        except KeyError:
-            raise KeyError(f"unknown edge id {edge_id}") from None
+    @property
+    def genus(self) -> int:
+        return (2 - self.euler_characteristic) // 2
 
     # -- incidence tables ---------------------------------------------------
-
-    def faces_at_edge(self) -> list[list[tuple[int, int]]]:
-        """(face index, slot) pairs using each edge."""
-        table: list[list[tuple[int, int]]] = [[] for _ in range(self.edge_count)]
-        for f in range(self.face_count):
-            for s in range(3):
-                table[self.face_edges[f, s]].append((f, s))
-        return table
 
     def corners_at_vertex(self) -> list[list[tuple[int, int]]]:
         """(face index, corner slot) pairs at each vertex."""
@@ -151,9 +148,12 @@ class TopologyReport:
 
 def _parse_int(tok: str, what: str, lineno: int) -> int:
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise MeshError(f"line {lineno}: bad {what} {tok!r}") from None
+    if not -2**63 <= value < 2**63:
+        raise MeshError(f"line {lineno}: {what} {tok!r} outside int64")
+    return value
 
 
 def _parse_float(tok: str, what: str, lineno: int) -> float:
@@ -256,14 +256,6 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
     face_edges = np.array([r[0] for r in face_rows], dtype=np.int64)
     face_signs = np.array([r[1] for r in face_rows], dtype=np.int64)
 
-    slot_count = np.bincount(face_edges.ravel(), minlength=len(edge_ids))
-    if (slot_count > 2).any():
-        eid = edge_ids[int(np.argmax(slot_count > 2))]
-        raise MeshError(f"non-manifold edge {eid}: used by more than 2 face slots")
-    if (slot_count < 2).any():
-        eid = edge_ids[int(np.argmax(slot_count < 2))]
-        raise MeshError(f"dangling edge {eid}: not used by exactly 2 face slots")
-
     mesh = SurfaceMesh(vertex_count=vertex_count,
                        edges=np.array(edge_verts, dtype=np.int64),
                        face_edges=face_edges,
@@ -322,15 +314,11 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     """
     violations: list[str] = []
 
-    # Each edge must be traversed once in each direction by its two slots.
-    slots = mesh.face_edges.ravel()
-    sign_sum = np.bincount(slots, weights=mesh.face_signs.ravel(),
+    # Each edge has two face slots (a SurfaceMesh invariant); they must
+    # traverse it once in each direction.
+    sign_sum = np.bincount(mesh.face_edges.ravel(), weights=mesh.face_signs.ravel(),
                            minlength=mesh.edge_count)
-    slot_count = np.bincount(slots, minlength=mesh.edge_count)
-    for e in np.nonzero(slot_count != 2)[0]:
-        violations.append(f"edge {mesh.edge_ids[e]} used by {slot_count[e]} "
-                          "face slots (expected 2)")
-    for e in np.nonzero((slot_count == 2) & (sign_sum != 0))[0]:
+    for e in np.nonzero(sign_sum != 0)[0]:
         violations.append(f"edge {mesh.edge_ids[e]} traversed twice in the "
                           "same direction (orientation defect)")
 
@@ -341,7 +329,6 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     chi = mesh.euler_characteristic
     if chi % 2 != 0:
         violations.append(f"odd Euler characteristic {chi}")
-    genus = (2 - chi) // 2
 
     degree = np.bincount(mesh.edges.ravel(), minlength=mesh.vertex_count)
 
@@ -353,7 +340,7 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     degenerate_face = bool(((c0 == c1) | (c1 == c2) | (c2 == c0)).any())
     is_simplicial = not (has_loop or has_multi or degenerate_face)
 
-    return TopologyReport(chi=chi, genus=genus, is_simplicial=is_simplicial,
+    return TopologyReport(chi=chi, genus=mesh.genus, is_simplicial=is_simplicial,
                           max_vertex_degree=int(degree.max()),
                           violations=violations)
 

@@ -173,24 +173,17 @@ def dual_distance_kappa(mesh: SurfaceMesh, amplitude: float) -> np.ndarray:
     """
     if not amplitude < 1.0:
         raise ValueError("amplitude must be < 1 to keep kappa negative")
-    neighbors: list[set[int]] = [set() for _ in range(mesh.face_count)]
-    slots = mesh.faces_at_edge()
-    for users in slots:
-        if len(users) == 2:
-            (f1, _), (f2, _) = users
-            neighbors[f1].add(f2)
-            neighbors[f2].add(f1)
+    # the two faces at each edge (every edge has exactly two face slots)
+    f1, f2 = (np.argsort(mesh.face_edges.ravel(), kind="stable") // 3).reshape(-1, 2).T
     dist = np.full(mesh.face_count, -1, dtype=np.int64)
     dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in sorted(neighbors[f]):
-                if dist[g] < 0:
-                    dist[g] = dist[f] + 1
-                    nxt.append(g)
-        frontier = nxt
+    frontier = dist == 0
+    while frontier.any():
+        reached = np.zeros(mesh.face_count, dtype=bool)
+        reached[f2[frontier[f1]]] = True
+        reached[f1[frontier[f2]]] = True
+        frontier = reached & (dist < 0)
+        dist[frontier] = dist.max() + 1
     s = dist / max(int(dist.max()), 1)
     return -1.0 + amplitude * s
 

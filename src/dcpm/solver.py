@@ -8,6 +8,9 @@ descent direction for the line search (rhs . d > 0, which holds whenever the
 matrix is positive definite), and the recomputed residual |J d - rhs| must
 be small relative to |rhs|.  A step that fails the first check falls back
 to a gradient step; the step itself uses feasibility-aware backtracking.
+The backtracking is Armijo-style on |K|: a trial step t is accepted once
+|K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t) |K(u)|_2, and each rejection
+multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
 The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
 with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).
 """
@@ -30,9 +33,20 @@ MIN_MARGIN = -np.pi / 4
 
 LINEAR_RESIDUAL_RTOL = 1e-10
 
+BACKTRACK_SHRINK = 0.5
+BACKTRACK_SLOPE = 1e-4
+MAX_BACKTRACKS = 40
+
+# fractions of the continuation path at which the defect is recorded
+CHECKPOINTS = (0.25, 0.5, 0.75)
+
 
 class SolverInputError(Exception):
-    """Inputs fail the solver's preconditions (topology, signs, feasibility)."""
+    """Inputs fail the solver's preconditions (topology, shapes, signs)."""
+
+
+class InfeasibleStartError(SolverInputError):
+    """A face's model lengths are infeasible at the start or along the path."""
 
 
 class LinearSolveError(Exception):
@@ -53,9 +67,6 @@ class SolveConfig:
     tolerance: float = 1e-10
     max_iterations: int = 100
     initial_u: np.ndarray | None = None
-    backtrack_shrink: float = 0.5
-    backtrack_slope: float = 1e-4
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -68,7 +79,6 @@ class SolveConfig:
 class ContinuationConfig:
     steps: int = 1000
     newton_polish: bool = True
-    checkpoints: tuple[float, ...] = (0.25, 0.5, 0.75)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -121,15 +131,41 @@ def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
     return d
 
 
-def _check_inputs(mesh: SurfaceMesh, kappa: np.ndarray) -> None:
+def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
+                    u: np.ndarray) -> None:
+    """Raise :class:`SolverInputError` unless the inputs meet the preconditions.
+
+    The mesh must be a valid closed surface of genus >= 2; ``kappa`` must be
+    (F,) finite and negative, ``lengths`` (E,) finite and positive, and the
+    start point ``u`` (V,) finite.  Feasibility of the start is left to the
+    solvers, which raise :class:`InfeasibleStartError`.
+    """
     report = validate_topology(mesh)
     if report.violations:
         raise SolverInputError("invalid mesh: " + "; ".join(report.violations))
     if report.genus < 2:
         raise SolverInputError(
             f"genus >= 2 required (mesh has genus {report.genus})")
-    if not (np.asarray(kappa) < 0).all():
-        raise SolverInputError("all face curvatures must be strictly negative")
+    for name, value, n, sign in (("kappa", kappa, mesh.face_count, -1),
+                                 ("lengths", lengths, mesh.edge_count, 1),
+                                 ("u", u, mesh.vertex_count, 0)):
+        value = np.asarray(value)
+        if value.shape != (n,):
+            raise SolverInputError(f"{name} has shape {value.shape}, expected ({n},)")
+        if not np.isfinite(value).all():
+            raise SolverInputError(f"{name} must be finite")
+        if sign and not (np.sign(value) == sign).all():
+            raise SolverInputError(
+                f"{name} must be strictly {'negative' if sign < 0 else 'positive'}")
+
+
+def _start_curvature(mesh, kappa, lengths, u) -> np.ndarray:
+    """Validate the inputs and return K at the start point u."""
+    validate_inputs(mesh, kappa, lengths, u)
+    try:
+        return discrete_curvature(mesh, kappa, u, lengths)
+    except InfeasibleFaceError as exc:
+        raise InfeasibleStartError(f"initial point infeasible: {exc}") from None
 
 
 def _curvature_and_margin(mesh, kappa, u, lengths) -> tuple[np.ndarray, float]:
@@ -149,14 +185,9 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     (-K is a descent direction of the locally convex energy).
     """
     cfg = cfg or SolveConfig()
-    _check_inputs(mesh, kappa)
-
     u = (np.zeros(mesh.vertex_count) if cfg.initial_u is None
          else np.array(cfg.initial_u, dtype=float))
-    try:
-        K = discrete_curvature(mesh, kappa, u, lengths)
-    except InfeasibleFaceError as exc:
-        raise SolverInputError(f"initial point infeasible: {exc}") from None
+    K = _start_curvature(mesh, kappa, lengths, u)
 
     result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
                          iterations=0, converged=False)
@@ -176,21 +207,19 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 
         norm2 = float(np.linalg.norm(K))
         step = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             u_trial = u + step * d
             try:
                 K_trial, margin = _curvature_and_margin(mesh, kappa, u_trial, lengths)
             except InfeasibleFaceError:
-                step *= cfg.backtrack_shrink
+                step *= BACKTRACK_SHRINK
                 continue
             if margin > MIN_MARGIN and (
                     float(np.linalg.norm(K_trial))
-                    <= (1.0 - cfg.backtrack_slope * step) * norm2):
-                accepted = True
+                    <= (1.0 - BACKTRACK_SLOPE * step) * norm2):
                 break
-            step *= cfg.backtrack_shrink
-        if not accepted:
+            step *= BACKTRACK_SHRINK
+        else:
             result.iterations = it
             break
 
@@ -215,23 +244,19 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     the endpoint.
     """
     cfg = cfg or ContinuationConfig()
-    _check_inputs(mesh, kappa)
     u = np.array(u0, dtype=float)
-    try:
-        K0 = discrete_curvature(mesh, kappa, u, lengths)
-    except InfeasibleFaceError as exc:
-        raise SolverInputError(f"initial point infeasible: {exc}") from None
+    K0 = _start_curvature(mesh, kappa, lengths, u)
 
     def rhs(u_cur: np.ndarray, t: float) -> np.ndarray:
         try:
             parts = assemble_jacobian(mesh, kappa, u_cur, lengths)
         except InfeasibleFaceError as exc:
-            raise SolverInputError(
+            raise InfeasibleStartError(
                 f"infeasible configuration at t = {t:.6g}: {exc}") from None
         # (Delta - D)^{-1} K0 = -(D - Delta)^{-1} K0
         return -solve_linear_spd(parts, K0)
 
-    check_steps = {int(round(c * cfg.steps)): c for c in cfg.checkpoints}
+    check_steps = {int(round(c * cfg.steps)): c for c in CHECKPOINTS}
     result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K0))),
                          iterations=0, converged=False)
     h = 1.0 / cfg.steps
@@ -267,13 +292,13 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
 
 def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
                       lengths: np.ndarray, u_start: np.ndarray,
-                      u_end: np.ndarray, quadrature_points: int = 32) -> float:
+                      u_end: np.ndarray) -> float:
     """Line integral of sum_i K_i du_i along the straight segment.
 
-    Gauss-Legendre quadrature; a path-independence and convexity diagnostic
+    32-point Gauss-Legendre quadrature; a path-independence and convexity diagnostic
     for the underlying energy (its gradient is K, its Hessian symmetric).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_points)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     delta = np.asarray(u_end, dtype=float) - np.asarray(u_start, dtype=float)
     total = 0.0
     for xi, w in zip(nodes, weights):

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcpm
 from dcpm.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NO_CONVERGENCE,
@@ -161,6 +167,50 @@ def test_check_rejects_infinite_length(tmp_path, octagon1, capsys):
     assert "length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa", ["const:-1e300", "const:-1e150", "const:-1e100"])
+def test_solve_huge_curvature_is_infeasible(tmp_path, mesh_file, capsys, kappa):
+    # model lengths past the sinh range are infeasible, not a NaN result
+    assert main(["solve", "--mesh", mesh_file, "--kappa", kappa,
+                 "--out", str(tmp_path / "u")]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("text, message", [
+    (TETRA_TEXT.replace("v 4", "v 100"), "vertex count"),
+    (TETRA_TEXT.replace("f 2 ", "f 99999999999999999999 "), "int64"),
+    (TETRA_TEXT.replace("v 4", "v 99999999999999999999"), "int64"),
+], ids=["vertex-count-100", "huge-face-id", "huge-vertex-count"])
+def test_check_rejects_out_of_range_integers(tmp_path, capsys, text, message):
+    path = tmp_path / "m.mesh"
+    path.write_text(text)
+    assert main(["check", "--mesh", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_non_convergence_writes_one_error_line(tmp_path, mesh_file, capsys):
+    assert main(["solve", "--mesh", mesh_file, "--kappa", "const:-1",
+                 "--tol", "1e-30", "--max-iter", "1",
+                 "--out", str(tmp_path / "u")]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_validates_topology_once(tmp_path, mesh_file, monkeypatch):
+    import dcpm.cli
+    import dcpm.solver
+    calls = []
+    real = dcpm.solver.validate_topology
+    for module in (dcpm.cli, dcpm.solver):
+        monkeypatch.setattr(module, "validate_topology",
+                            lambda mesh: calls.append(1) or real(mesh))
+    assert main(["solve", "--mesh", mesh_file, "--kappa", "const:-1",
+                 "--out", str(tmp_path / "u")]) == EXIT_OK
+    assert len(calls) == 1
+
+
 LAZY_SCIPY_SCRIPT = """
 import json, sys
 import dcpm.cli
@@ -246,6 +296,13 @@ def test_check_infeasible_reported(tmp_path, octagon1, capsys):
     assert report["feasible"] == "False"
 
 
+def test_check_huge_curvature_reports_infeasible(mesh_file, capsys):
+    assert main(["check", "--mesh", mesh_file, "--kappa", "const:-1e300"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert parse_report(out)["feasible"] == "False"
+    assert "nan" not in out
+
+
 # -- converge ------------------------------------------------------------------
 
 def test_converge_writes_csv(tmp_path, capsys):
@@ -259,3 +316,62 @@ def test_converge_writes_csv(tmp_path, capsys):
 def test_converge_rejects_positive_kappa(tmp_path):
     assert main(["converge", "--levels", "2", "--kappa", "const:1",
                  "--out", str(tmp_path / "s.csv")]) == EXIT_INVALID
+
+
+def test_converge_huge_curvature_is_infeasible(tmp_path, capsys):
+    assert main(["converge", "--levels", "1", "--kappa", "const:-1e300",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+# -- input contract -------------------------------------------------------------
+
+# Replacement tokens: bad numbers and literals, plus ids in and out of range for
+# the level-1 octagon (V = 14, E = 48, F = 32).  No vertex count here can make
+# a missing check allocate more than a few kB per vertex array.
+MUTATION_TOKENS = ["0", "-1", "nan", "inf", "-inf", "1e308",
+                   "99999999999999999999", "+3", "x",
+                   "1", "13", "14", "47", "48", "-47", "+31", "96", "1000"]
+
+
+@st.composite
+def mutated_mesh(draw, text):
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        toks = lines[i].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(
+            st.sampled_from(MUTATION_TOKENS))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cli_contract_on_mutated_mesh(octagon1, data):
+    text = data.draw(mutated_mesh(dump_mesh(octagon1.mesh, octagon1.lengths)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mesh")
+        Path(path).write_text(text)
+        for argv in (["check", "--mesh", path],
+                     ["solve", "--mesh", path, "--kappa", "const:-1",
+                      "--max-iter", "20", "--out", os.path.join(tmp, "u")]):
+            code, out, err = run_cli(argv)
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_INFEASIBLE,
+                            EXIT_NO_CONVERGENCE), (argv[0], code, err)
+            err_lines = err.splitlines()
+            assert len(err_lines) == (code != EXIT_OK), (argv[0], err)
+            assert all(line.startswith("error: ") for line in err_lines)
+            assert not re.search(r"\bnan\b", out, re.IGNORECASE), out

@@ -166,6 +166,26 @@ def test_dangling_edge_rejected():
         load_mesh(text)
 
 
+@pytest.mark.parametrize("face_edges, message", [
+    ([[0, 3, 1], [1, 5, 2], [2, 4, 0], [4, 5, 3], [0, 3, 1]], "non-manifold edge 0"),
+    ([[0, 3, 1], [1, 5, 2], [2, 4, 0]], "dangling edge 3"),
+    ([[0, 3, 1], [1, 5, 2], [2, 4, 0], [4, 5, 6]], "face edge index"),
+])
+def test_surface_mesh_owns_slot_counts(tetra, face_edges, message):
+    mesh, _ = tetra
+    signs = np.ones((len(face_edges), 3))
+    with pytest.raises(MeshError, match=message):
+        SurfaceMesh(mesh.vertex_count, mesh.edges, face_edges, signs,
+                    mesh.edge_ids, np.arange(len(face_edges)))
+
+
+def test_surface_mesh_bounds_vertex_count(tetra):
+    mesh, _ = tetra
+    with pytest.raises(MeshError, match="vertex count 13"):
+        SurfaceMesh(13, mesh.edges, mesh.face_edges, mesh.face_signs,
+                    mesh.edge_ids, mesh.face_ids)
+
+
 def test_nonpositive_length_rejected():
     text = TETRA_TEXT.replace("e 5 2 3 1.0", "e 5 2 3 0.0")
     with pytest.raises(MeshError, match="length"):

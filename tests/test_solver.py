@@ -3,9 +3,9 @@ import pytest
 
 from dcpm.geometry import discrete_curvature
 from dcpm.jacobian import assemble_jacobian
-from dcpm.solver import (ContinuationConfig, LinearSolveError,
-                         NotPositiveDefiniteError, SolveConfig,
-                         SolverInputError, continuation_solve,
+from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
+                         LinearSolveError, NotPositiveDefiniteError,
+                         SolveConfig, SolverInputError, continuation_solve,
                          energy_along_path, newton_solve, solve_linear_spd)
 
 from conftest import TETRA_TEXT
@@ -40,6 +40,52 @@ def test_rejects_infeasible_start(octagon1):
     cfg = SolveConfig(initial_u=u0)
     with pytest.raises(SolverInputError, match="infeasible"):
         newton_solve(octagon1.mesh, kappa_const(octagon1), octagon1.lengths, cfg)
+
+
+def test_infeasible_start_is_its_own_error(octagon1):
+    c0, c1, c2 = octagon1.mesh.face_corners[0]
+    u0 = np.zeros(octagon1.mesh.vertex_count)
+    u0[c0] = u0[c1] = 6.0
+    u0[c2] = -6.0
+    with pytest.raises(InfeasibleStartError, match="initial point infeasible"):
+        continuation_solve(octagon1.mesh, kappa_const(octagon1), octagon1.lengths,
+                           u0, ContinuationConfig(steps=1))
+
+
+def _with(**change):
+    """Replace some of (kappa, lengths, u) in a valid octagon-1 input."""
+    def make(m):
+        inputs = {"kappa": kappa_const(m), "lengths": m.lengths.copy(),
+                  "u": np.zeros(m.mesh.vertex_count)}
+        inputs.update({k: f(inputs[k]) for k, f in change.items()})
+        return inputs
+    return make
+
+
+BAD_INPUTS = {
+    "u-length-3": _with(u=lambda u: u[:3]),
+    "u-length-V+1": _with(u=lambda u: np.append(u, 0.0)),
+    "u-nan": _with(u=lambda u: np.where(np.arange(len(u)) == 2, np.nan, u)),
+    "kappa-wrong-length": _with(kappa=lambda k: k[:-1]),
+    "lengths-wrong-length": _with(lengths=lambda l: l[:-1]),
+    "length-nan": _with(lengths=lambda l: np.where(np.arange(len(l)) == 5, np.nan, l)),
+    "lengths-negative": _with(lengths=lambda l: -l),
+}
+
+
+@pytest.mark.parametrize("method", ["newton", "continuation"])
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_rejects_bad_inputs(octagon1, case, method):
+    x = BAD_INPUTS[case](octagon1)
+    with pytest.raises(SolverInputError) as exc:
+        if method == "newton":
+            newton_solve(octagon1.mesh, x["kappa"], x["lengths"],
+                         SolveConfig(initial_u=x["u"]))
+        else:
+            continuation_solve(octagon1.mesh, x["kappa"], x["lengths"], x["u"],
+                               ContinuationConfig(steps=1))
+    assert not isinstance(exc.value, InfeasibleStartError)
+    assert "infeasible" not in str(exc.value)
 
 
 def test_config_validation():
