@@ -5,7 +5,8 @@ are printed with 17 significant digits so runs diff byte-for-byte.
 
 Exit codes, all mapped in :func:`main`: 0 success, 2 parse/validation
 error, 3 infeasible configuration, 4 non-convergence (best iterate still
-written).  Each of 2, 3 and 4 writes one ``error:`` line to stderr.
+written) or a failed linear solve (nothing written).  Each of 2, 3 and 4
+writes one ``error:`` line to stderr.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -25,8 +26,8 @@ from .calculus import isoperimetric_constant
 from .geometry import InfeasibleFaceError
 from .mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
     load_mesh, validate_topology
-from .solver import ContinuationConfig, InfeasibleStartError, SolveConfig, \
-    SolverInputError, continuation_solve, newton_solve
+from .solver import ContinuationConfig, InfeasibleStartError, LinearSolveError, \
+    SolveConfig, SolverInputError, continuation_solve, newton_solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -125,17 +126,15 @@ def cmd_solve(args) -> int:
     result = newton_solve(mesh, kappa, lengths, cfg)
     elapsed = time.perf_counter() - t0
 
-    recomputed = geometry.discrete_curvature(mesh, kappa, result.u, lengths)
-    final_res = float(np.max(np.abs(recomputed)))
+    angles = geometry.corner_angles(
+        mesh, kappa, geometry.scale_lengths(mesh, result.u, lengths))
     report = {"command": "solve", **_input_digest(mesh, lengths)}
     report.update({
         "iterations": result.iterations,
         "converged": result.converged,
-        "residual_inf": final_res,
-        "gauss_bonnet_residual": geometry.gauss_bonnet_residual(
-            mesh, kappa, result.u, lengths),
-        "acuteness_margin": geometry.acuteness_margin(
-            mesh, kappa, geometry.scale_lengths(mesh, result.u, lengths)),
+        "residual_inf": result.residual_inf,
+        "gauss_bonnet_residual": geometry.gauss_bonnet_residual(mesh, angles),
+        "acuteness_margin": geometry.acuteness_margin(angles),
         "u_inf": float(np.max(np.abs(result.u))),
         "seconds": elapsed,
     })
@@ -154,14 +153,12 @@ def cmd_flow(args) -> int:
                                 np.zeros(mesh.vertex_count), cfg)
     elapsed = time.perf_counter() - t0
 
-    recomputed = geometry.discrete_curvature(mesh, kappa, result.u, lengths)
-    final_res = float(np.max(np.abs(recomputed)))
     report = {"command": "flow", **_input_digest(mesh, lengths)}
     report.update({
         "steps": args.steps,
         "newton_polish": args.polish,
         "converged": result.converged,
-        "residual_inf": final_res,
+        "residual_inf": result.residual_inf,
         "linearity_defect": result.linearity_defect,
         "u_inf": float(np.max(np.abs(result.u))),
         "seconds": elapsed,
@@ -192,10 +189,10 @@ def cmd_check(args) -> int:
     for i, v in enumerate(topo.violations):
         report[f"violation_{i}"] = v
     try:
-        report["acuteness_margin"] = geometry.acuteness_margin(
-            mesh, kappa, lengths)
+        angles = geometry.corner_angles(mesh, kappa, lengths)  # u = 0
+        report["acuteness_margin"] = geometry.acuteness_margin(angles)
         report["gauss_bonnet_residual"] = geometry.gauss_bonnet_residual(
-            mesh, kappa, np.zeros(mesh.vertex_count), lengths)
+            mesh, angles)
         report["feasible"] = True
     except InfeasibleFaceError:
         report["feasible"] = False
@@ -210,8 +207,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.model != "octagon":
-        raise CliError(f"unknown model {args.model!r}")
     if args.refine < 0:
         raise CliError("--refine must be >= 0")
     surface = models.octagon_fixture(args.refine)
@@ -307,6 +302,8 @@ def main(argv=None) -> int:
         code, message = EXIT_INFEASIBLE, str(exc)
     except SolverInputError as exc:
         code, message = EXIT_INVALID, str(exc)
+    except LinearSolveError as exc:
+        code, message = EXIT_NO_CONVERGENCE, f"linear solve failed: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

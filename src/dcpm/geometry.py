@@ -54,7 +54,8 @@ def constant_curvature_edge_length(kappa, length):
 def model_length(kappa, length):
     """Curvature -1 length H = 2*asinh((-kappa/2)*l) used for all angles."""
     kappa = np.asarray(kappa, dtype=float)
-    return 2.0 * np.arcsinh(0.5 * (-kappa) * np.asarray(length, dtype=float))
+    with np.errstate(over="ignore"):  # H = inf, which infeasible_slots flags
+        return 2.0 * np.arcsinh(0.5 * (-kappa) * np.asarray(length, dtype=float))
 
 
 def max_length(lengths: np.ndarray) -> float:
@@ -62,16 +63,12 @@ def max_length(lengths: np.ndarray) -> float:
     return float(np.max(np.abs(lengths)))
 
 
-def face_lengths(mesh: SurfaceMesh, lengths: np.ndarray) -> np.ndarray:
-    """(F, 3) lengths by face slot; slot s holds the face's s-th edge."""
-    return lengths[mesh.face_edges]
-
-
 def infeasible_slots(H: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of (..., 3) model lengths failing feasibility."""
     s = H.sum(axis=-1)
     m = H.max(axis=-1)
-    return (m >= (s - m) - FEASIBILITY_RTOL * m) | ~(s <= MAX_MODEL_PERIMETER)
+    with np.errstate(invalid="ignore"):  # inf - inf on an overflowed face
+        return (m >= (s - m) - FEASIBILITY_RTOL * m) | ~(s <= MAX_MODEL_PERIMETER)
 
 
 def triangle_angles(H: np.ndarray) -> np.ndarray:
@@ -99,8 +96,11 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
 
 def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
-    """(F, 3) inner angles; slot s is the angle at corner s of each face."""
-    H = model_length(kappa[:, None], face_lengths(mesh, lengths))
+    """(F, 3) inner angles; slot s is the angle at corner s of each face.
+
+    The one angle evaluation: K, the margin and the Jacobian read its output.
+    """
+    H = model_length(kappa[:, None], lengths[mesh.face_edges])
     try:
         return triangle_angles(H)
     except InfeasibleFaceError as exc:
@@ -125,20 +125,16 @@ def discrete_curvature(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
         mesh, corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths)))
 
 
-def acuteness_margin(mesh: SurfaceMesh, kappa: np.ndarray,
-                     lengths: np.ndarray) -> float:
+def acuteness_margin(angles: np.ndarray) -> float:
     """min over corners of (pi/2 - angle); the mesh is eps-acute iff >= eps."""
-    angles = corner_angles(mesh, kappa, lengths)
     return float(np.pi / 2 - angles.max())
 
 
-def gauss_bonnet_residual(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
-                          lengths: np.ndarray) -> float:
+def gauss_bonnet_residual(mesh: SurfaceMesh, angles: np.ndarray) -> float:
     """Defect of sum(K) = 2*pi*chi + sum over faces of (pi - angle sum).
 
     Zero up to roundoff on every feasible configuration.
     """
-    angles = corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths))
     K = curvature_from_angles(mesh, angles)
     face_defect = np.pi - angles.sum(axis=1)
     return float(K.sum() - face_defect.sum() - TWO_PI * mesh.euler_characteristic)

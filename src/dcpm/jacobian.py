@@ -3,8 +3,10 @@
 Edge weights and diagonal are assembled per face from half-angle cotangents
 and the lambda factors; the result is the true Jacobian of
 :func:`dcpm.geometry.discrete_curvature` (checked by finite differences in
-the test suite).  The sparse matrix is filled into a per-mesh pattern,
-:class:`JacobianPlan`, built on first use and cached on the mesh.
+the test suite).  Assembly reads the scaled lengths and corner angles that
+the caller already evaluated at u; it computes no angle itself.  The sparse
+matrix is filled into a per-mesh pattern, :class:`JacobianPlan`, built on
+first use and cached on the mesh.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import corner_angles, scale_lengths
 from .mesh import SurfaceMesh
 
 if TYPE_CHECKING:
@@ -92,20 +93,13 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
 class JacobianParts:
     """Pieces of dK/du = D - Delta_eta for one configuration.
 
-    ``eta`` is per edge (summed over the two incident faces), ``diag`` per
-    vertex, ``corner_tilde`` the (F, 3) half-angle combinations by corner
-    slot, and ``lam`` the (F, 3) lambda factors by *edge* slot.
+    ``eta`` is per edge (summed over the two incident faces) and ``diag`` per
+    vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
     """
 
     mesh: SurfaceMesh
     eta: np.ndarray
     diag: np.ndarray
-    corner_tilde: np.ndarray
-    lam: np.ndarray
-
-    def laplacian(self) -> sp.csr_matrix:
-        from .calculus import laplacian_matrix
-        return laplacian_matrix(self.mesh, self.eta)
 
     def matrix(self) -> sp.csc_matrix:
         """Sparse Jacobian D - Delta_eta, filled into the mesh's plan."""
@@ -119,23 +113,23 @@ class JacobianParts:
         return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
 
 
-def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
-                      lengths: np.ndarray) -> JacobianParts:
-    """Assemble eta(u) and D(u) from the current configuration.
+def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
+                      angles: np.ndarray) -> JacobianParts:
+    """Assemble eta(u) and D(u) from the scaled lengths and corner angles at u.
 
-    Per face and edge slot s (opposite corner s+2), the face contributes
+    ``scaled`` is ``geometry.scale_lengths(mesh, u, lengths)`` and ``angles``
+    is ``geometry.corner_angles(mesh, kappa, scaled)``.  Per face and edge
+    slot s (opposite corner s+2), the face contributes
     cot(tilde_theta)*(1-lambda)/2 to the edge weight and cot(tilde_theta)*lambda
     to the diagonal at each endpoint of the edge.  Accumulation runs in
     ascending face id order, so assembly is deterministic.  For a loop edge
     both endpoint contributions land on the same diagonal entry, which is the
     correct specialization of the derivative.
     """
-    scaled = scale_lengths(mesh, u, lengths)
-    angles = corner_angles(mesh, kappa, scaled)
     tilde = tilde_theta(angles)
-    if (tilde < COT_SINGULARITY_TOL).any() or (np.pi - tilde < COT_SINGULARITY_TOL).any():
-        f = int(np.nonzero(((tilde < COT_SINGULARITY_TOL)
-                            | (np.pi - tilde < COT_SINGULARITY_TOL)).any(axis=1))[0][0])
+    singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
+    if singular.any():
+        f = int(np.nonzero(singular.any(axis=1))[0][0])
         raise CotangentSingularityError(
             f"half angle at face {mesh.face_ids[f]} within "
             f"{COT_SINGULARITY_TOL} of 0 or pi")
@@ -153,5 +147,4 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
     diag = np.bincount(edge_ends.T.ravel(), weights=np.tile(dcontrib, 2),
                        minlength=mesh.vertex_count)
 
-    return JacobianParts(mesh=mesh, eta=eta, diag=diag,
-                         corner_tilde=tilde, lam=lam)
+    return JacobianParts(mesh=mesh, eta=eta, diag=diag)

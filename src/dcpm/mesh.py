@@ -92,12 +92,11 @@ class SurfaceMesh:
         heads = np.where(self.face_signs > 0,
                          self.edges[self.face_edges, 1],
                          self.edges[self.face_edges, 0])
-        if not np.array_equal(heads, np.roll(tails, -1, axis=1)):
-            bad = np.nonzero(
-                (heads != np.roll(tails, -1, axis=1)).any(axis=1))[0]
+        unchained = (heads != np.roll(tails, -1, axis=1)).any(axis=1)
+        if unchained.any():
             raise MeshError(
-                f"face {self.face_ids[bad[0]]}: directed edges do not chain "
-                "head-to-tail")
+                f"face {self.face_ids[np.argmax(unchained)]}: directed edges "
+                "do not chain head-to-tail")
         self.face_corners = tails
 
         for a in (self.edges, self.face_edges, self.face_signs, self.edge_ids,
@@ -119,16 +118,6 @@ class SurfaceMesh:
     @property
     def genus(self) -> int:
         return (2 - self.euler_characteristic) // 2
-
-    # -- incidence tables ---------------------------------------------------
-
-    def corners_at_vertex(self) -> list[list[tuple[int, int]]]:
-        """(face index, corner slot) pairs at each vertex."""
-        table: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for f in range(self.face_count):
-            for s in range(3):
-                table[self.face_corners[f, s]].append((f, s))
-        return table
 
 
 @dataclass

@@ -218,7 +218,8 @@ def convergence_study(levels: int, kappa_value: float = -1.0,
     m = gen_octagon_genus2()
     for level in range(levels):
         kappa = np.full(m.mesh.face_count, kappa_value)
-        margin = geometry.acuteness_margin(m.mesh, kappa, m.lengths)
+        margin = geometry.acuteness_margin(
+            geometry.corner_angles(m.mesh, kappa, m.lengths))
         result = newton_solve(m.mesh, kappa, m.lengths, cfg)
         error = (float(np.max(np.abs(result.u))) if kappa_value == -1.0
                  else float("nan"))

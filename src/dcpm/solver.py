@@ -8,6 +8,8 @@ descent direction for the line search (rhs . d > 0, which holds whenever the
 matrix is positive definite), and the recomputed residual |J d - rhs| must
 be small relative to |rhs|.  A step that fails the first check falls back
 to a gradient step; the step itself uses feasibility-aware backtracking.
+The angles of each trial point give its K and margin and, once accepted,
+the next Jacobian.
 The backtracking is Armijo-style on |K|: a trial step t is accepted once
 |K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t) |K(u)|_2, and each rejection
 multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
@@ -159,19 +161,20 @@ def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
                 f"{name} must be strictly {'negative' if sign < 0 else 'positive'}")
 
 
-def _start_curvature(mesh, kappa, lengths, u) -> np.ndarray:
-    """Validate the inputs and return K at the start point u."""
+def _evaluate(mesh, kappa, lengths, u):
+    """(scaled lengths, corner angles, K) at u, from one angle evaluation."""
+    scaled = scale_lengths(mesh, u, lengths)
+    angles = geometry.corner_angles(mesh, kappa, scaled)
+    return scaled, angles, curvature_from_angles(mesh, angles)
+
+
+def _start_point(mesh, kappa, lengths, u):
+    """Validate the inputs and :func:`_evaluate` the start point u."""
     validate_inputs(mesh, kappa, lengths, u)
     try:
-        return discrete_curvature(mesh, kappa, u, lengths)
+        return _evaluate(mesh, kappa, lengths, u)
     except InfeasibleFaceError as exc:
         raise InfeasibleStartError(f"initial point infeasible: {exc}") from None
-
-
-def _curvature_and_margin(mesh, kappa, u, lengths) -> tuple[np.ndarray, float]:
-    """K(u) and the acuteness margin at u from one angle evaluation."""
-    angles = geometry.corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths))
-    return curvature_from_angles(mesh, angles), float(np.pi / 2 - angles.max())
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -187,7 +190,7 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     cfg = cfg or SolveConfig()
     u = (np.zeros(mesh.vertex_count) if cfg.initial_u is None
          else np.array(cfg.initial_u, dtype=float))
-    K = _start_curvature(mesh, kappa, lengths, u)
+    scaled, angles, K = _start_point(mesh, kappa, lengths, u)
 
     result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
                          iterations=0, converged=False)
@@ -197,7 +200,7 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
             break
 
         try:
-            parts = assemble_jacobian(mesh, kappa, u, lengths)
+            parts = assemble_jacobian(mesh, kappa, scaled, angles)
             d = solve_linear_spd(parts, -K)
         except (NotPositiveDefiniteError, CotangentSingularityError):
             d = -K
@@ -210,12 +213,13 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
         for _ in range(MAX_BACKTRACKS):
             u_trial = u + step * d
             try:
-                K_trial, margin = _curvature_and_margin(mesh, kappa, u_trial, lengths)
+                scaled_t, angles_t, K_t = _evaluate(mesh, kappa, lengths, u_trial)
             except InfeasibleFaceError:
                 step *= BACKTRACK_SHRINK
                 continue
+            margin = geometry.acuteness_margin(angles_t)
             if margin > MIN_MARGIN and (
-                    float(np.linalg.norm(K_trial))
+                    float(np.linalg.norm(K_t))
                     <= (1.0 - BACKTRACK_SLOPE * step) * norm2):
                 break
             step *= BACKTRACK_SHRINK
@@ -223,7 +227,7 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
             result.iterations = it
             break
 
-        u, K = u_trial, K_trial
+        u, scaled, angles, K = u_trial, scaled_t, angles_t, K_t
         result.step_log.append((it + 1, float(np.max(np.abs(K))), step, margin))
         result.iterations = it + 1
 
@@ -245,16 +249,17 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     """
     cfg = cfg or ContinuationConfig()
     u = np.array(u0, dtype=float)
-    K0 = _start_curvature(mesh, kappa, lengths, u)
+    _, _, K0 = _start_point(mesh, kappa, lengths, u)
 
     def rhs(u_cur: np.ndarray, t: float) -> np.ndarray:
+        scaled = scale_lengths(mesh, u_cur, lengths)
         try:
-            parts = assemble_jacobian(mesh, kappa, u_cur, lengths)
+            angles = geometry.corner_angles(mesh, kappa, scaled)
         except InfeasibleFaceError as exc:
             raise InfeasibleStartError(
                 f"infeasible configuration at t = {t:.6g}: {exc}") from None
-        # (Delta - D)^{-1} K0 = -(D - Delta)^{-1} K0
-        return -solve_linear_spd(parts, K0)
+        parts = assemble_jacobian(mesh, kappa, scaled, angles)
+        return -solve_linear_spd(parts, K0)  # = (Delta - D)^{-1} K0
 
     check_steps = {int(round(c * cfg.steps)): c for c in CHECKPOINTS}
     result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K0))),
@@ -286,7 +291,6 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
         K = discrete_curvature(mesh, kappa, u, lengths)
         result.u = u
         result.residual_inf = float(np.max(np.abs(K)))
-        result.converged = False
     return result
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,16 @@ def random_feasible_instance(m, rng, kappa_range=(-2.0, -0.5), u_scale=0.1):
     return kappa, u
 
 
+def jacobian_at(mesh, kappa, u, lengths):
+    """``assemble_jacobian`` at the point u, from one angle evaluation."""
+    from dcpm.geometry import corner_angles, scale_lengths
+    from dcpm.jacobian import assemble_jacobian
+
+    scaled = scale_lengths(mesh, u, lengths)
+    return assemble_jacobian(mesh, kappa, scaled,
+                             corner_angles(mesh, kappa, scaled))
+
+
 def fd_jacobian(mesh, kappa, u, lengths, h=1e-6):
     """Central finite differences of the discrete curvature map."""
     from dcpm.geometry import discrete_curvature
@@ -86,3 +98,27 @@ def fd_jacobian(mesh, kappa, u, lengths, h=1e-6):
         J[:, j] = (discrete_curvature(mesh, kappa, up, lengths)
                    - discrete_curvature(mesh, kappa, um, lengths)) / (2.0 * h)
     return J
+
+
+@pytest.fixture
+def corner_angle_calls(monkeypatch):
+    """List that grows by one per ``geometry.corner_angles`` call.
+
+    Every ``dcpm`` module attribute bound to the function is patched, so
+    calls through ``from .geometry import corner_angles`` copies count too.
+    """
+    from dcpm import geometry
+
+    calls = []
+    original = geometry.corner_angles
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "dcpm":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

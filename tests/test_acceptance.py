@@ -13,14 +13,15 @@ import pytest
 from dcpm.calculus import (Graph, divergence, elliptic_estimate_check,
                            gradient, isoperimetric_constant, laplacian_apply,
                            laplacian_matrix)
-from dcpm.geometry import (discrete_curvature, gauss_bonnet_residual,
-                           acuteness_margin, triangle_angles)
-from dcpm.jacobian import assemble_jacobian, lambda_factor, tilde_theta
+from dcpm.geometry import (corner_angles, discrete_curvature,
+                           gauss_bonnet_residual, acuteness_margin,
+                           scale_lengths, triangle_angles)
+from dcpm.jacobian import lambda_factor, tilde_theta
 from dcpm.models import convergence_study, octagon_fixture
 from dcpm.solver import (ContinuationConfig, SolveConfig, continuation_solve,
                          newton_solve)
 
-from conftest import fd_jacobian, random_feasible_instance
+from conftest import fd_jacobian, jacobian_at, random_feasible_instance
 from test_calculus import is_connected, oracle_isoperimetric, random_graph
 
 
@@ -39,7 +40,7 @@ def test_01_jacobian_matches_finite_differences(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(7):
             kappa, u = random_feasible_instance(m, rng)
-            J = assemble_jacobian(m.mesh, kappa, u, m.lengths).matrix().toarray()
+            J = jacobian_at(m.mesh, kappa, u, m.lengths).matrix().toarray()
             J_fd = fd_jacobian(m.mesh, kappa, u, m.lengths, h=1e-6)
             worst = max(worst, np.max(np.abs(J - J_fd)) / np.max(np.abs(J)))
             count += 1
@@ -56,12 +57,12 @@ def test_02_jacobian_structure(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(5):
             kappa, u = random_feasible_instance(m, rng)
-            parts = assemble_jacobian(m.mesh, kappa, u, m.lengths)
+            parts = jacobian_at(m.mesh, kappa, u, m.lengths)
             J = parts.matrix().toarray()
             ok = ok and np.max(np.abs(J - J.T)) <= 1e-12
             # rows sum to zero exactly when summed the way assembly does:
             # off-diagonal row sums plus the (negated) diagonal
-            L = parts.laplacian()
+            L = laplacian_matrix(m.mesh, parts.eta)
             import scipy.sparse as sp
             off = L - sp.diags(L.diagonal())
             row = np.asarray(off.sum(axis=1)).ravel() + L.diagonal()
@@ -74,9 +75,9 @@ def test_02_jacobian_structure(octagon_levels, capsys):
     for m, lengths in acute:
         kappa = np.full(m.mesh.face_count, -1.0)
         ok = ok and m.mesh.vertex_count <= 200
-        ok = ok and acuteness_margin(m.mesh, kappa, lengths) >= 0.05
-        parts = assemble_jacobian(m.mesh, kappa,
-                                  np.zeros(m.mesh.vertex_count), lengths)
+        ok = ok and acuteness_margin(corner_angles(m.mesh, kappa, lengths)) >= 0.05
+        parts = jacobian_at(m.mesh, kappa,
+                            np.zeros(m.mesh.vertex_count), lengths)
         ok = ok and np.linalg.eigvalsh(parts.matrix().toarray()).min() > 0.0
     report(capsys, "criterion 2 jacobian structure", ok)
 
@@ -88,7 +89,9 @@ def test_03_gauss_bonnet(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(10):
             kappa, u = random_feasible_instance(m, rng)
-            resid = gauss_bonnet_residual(m.mesh, kappa, u, m.lengths)
+            resid = gauss_bonnet_residual(
+                m.mesh, corner_angles(m.mesh, kappa,
+                                      scale_lengths(m.mesh, u, m.lengths)))
             ok = ok and abs(resid) <= 1e-9 * m.mesh.face_count
     report(capsys, "criterion 3 gauss-bonnet", ok)
 

@@ -211,6 +211,48 @@ def test_solve_validates_topology_once(tmp_path, mesh_file, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_and_check_evaluate_angles_once(tmp_path, octagon2, capsys,
+                                              corner_angle_calls):
+    # solve: the start, each trial point, then one evaluation for the report;
+    # check: one evaluation for both the margin and Gauss-Bonnet
+    path = tmp_path / "m.mesh"
+    path.write_text(dump_mesh(octagon2.mesh, octagon2.lengths))
+    assert main(["solve", "--mesh", str(path), "--kappa", "const:-1",
+                 "--out", str(tmp_path / "u")]) == EXIT_OK
+    iterations = int(parse_report(capsys.readouterr().out)["iterations"])
+    # every step here is a full step: one trial point per iteration
+    assert len(corner_angle_calls) == 1 + iterations + 1 == 5
+    corner_angle_calls.clear()
+    assert main(["check", "--mesh", str(path)]) == EXIT_OK
+    assert len(corner_angle_calls) == 1
+
+
+@pytest.mark.parametrize("kappa", ["const:-1e-8", "const:-1e-20"])
+def test_failed_linear_solve_exits_4(tmp_path, mesh_file, capsys, kappa):
+    # a tiny curvature leaves the Newton system nearly singular; the failed
+    # solve ends in one error line, with no traceback and no u file
+    out = tmp_path / "u"
+    assert main(["solve", "--mesh", mesh_file, "--kappa", kappa,
+                 "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: linear solve failed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overflowing_model_length_is_infeasible(tmp_path, octagon1, capsys):
+    # (-kappa/2) * l overflows; pytest turns any RuntimeWarning into an error
+    path = tmp_path / "m.mesh"
+    lengths = octagon1.lengths.copy()
+    lengths[0] = 1e300
+    path.write_text(dump_mesh(octagon1.mesh, lengths))
+    assert main(["check", "--mesh", str(path), "--kappa", "const:-1e10"]) == EXIT_OK
+    assert parse_report(capsys.readouterr().out)["feasible"] == "False"
+    assert main(["solve", "--mesh", str(path), "--kappa", "const:-1e10",
+                 "--out", str(tmp_path / "u")]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 LAZY_SCIPY_SCRIPT = """
 import json, sys
 import dcpm.cli

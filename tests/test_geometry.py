@@ -169,7 +169,9 @@ def test_gauss_bonnet_random(octagon1):
     mesh = octagon1.mesh
     for _ in range(25):
         kappa, u = random_feasible_instance(octagon1, rng)
-        residual = gauss_bonnet_residual(mesh, kappa, u, octagon1.lengths)
+        residual = gauss_bonnet_residual(
+            mesh, corner_angles(mesh, kappa,
+                                scale_lengths(mesh, u, octagon1.lengths)))
         assert abs(residual) <= 1e-9 * mesh.face_count
 
 
@@ -187,7 +189,7 @@ def test_acuteness_margin_equilateral(octagon1):
     mesh = octagon1.mesh
     lengths = np.full(mesh.edge_count, 2.0 * np.sinh(0.5))
     kappa = np.full(mesh.face_count, -1.0)
-    margin = acuteness_margin(mesh, kappa, lengths)
+    margin = acuteness_margin(corner_angles(mesh, kappa, lengths))
     assert margin == pytest.approx(np.pi / 2 - EQUILATERAL_H1_ANGLE, rel=1e-12)
 
 
@@ -205,7 +207,7 @@ def test_margin_euclidean_limit(octagon1):
     base = np.full(mesh.edge_count, 1.0)
     # hyperbolic angles grow toward the Euclidean pi/3 as lengths shrink,
     # so the margin decreases toward pi/6 (stop before roundoff dominates)
-    margins = [acuteness_margin(mesh, kappa, base * 10.0**-k)
+    margins = [acuteness_margin(corner_angles(mesh, kappa, base * 10.0**-k))
                for k in range(1, 5)]
     assert all(m2 < m1 for m1, m2 in zip(margins, margins[1:]))
     assert margins[-1] == pytest.approx(np.pi / 6, abs=1e-6)

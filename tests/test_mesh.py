@@ -128,15 +128,6 @@ def test_corners_consistent_with_edges(octagon1):
             assert mesh.face_corners[f, (s + 1) % 3] == head
 
 
-def test_corner_incidence_tables(tetra):
-    mesh, _ = tetra
-    corners = mesh.corners_at_vertex()
-    assert sum(len(c) for c in corners) == 3 * mesh.face_count
-    for v, items in enumerate(corners):
-        for f, s in items:
-            assert mesh.face_corners[f, s] == v
-
-
 def test_bad_header():
     with pytest.raises(MeshError, match="header"):
         load_mesh("DCPM 2\nv 1\n")

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from dcpm import models
 from dcpm.geometry import discrete_curvature
-from dcpm.jacobian import assemble_jacobian
 from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
                          LinearSolveError, NotPositiveDefiniteError,
                          SolveConfig, SolverInputError, continuation_solve,
                          energy_along_path, newton_solve, solve_linear_spd)
 
-from conftest import TETRA_TEXT
+from conftest import TETRA_TEXT, jacobian_at
 
 
 def kappa_const(m, value=-1.0):
@@ -101,18 +101,18 @@ def test_config_validation():
 
 def test_solve_linear_spd_roundtrip(octagon1):
     rng = np.random.default_rng(0)
-    parts = assemble_jacobian(octagon1.mesh, kappa_const(octagon1),
-                              np.zeros(octagon1.mesh.vertex_count),
-                              octagon1.lengths)
+    parts = jacobian_at(octagon1.mesh, kappa_const(octagon1),
+                        np.zeros(octagon1.mesh.vertex_count),
+                        octagon1.lengths)
     rhs = rng.normal(size=octagon1.mesh.vertex_count)
     d = solve_linear_spd(parts, rhs)
     np.testing.assert_allclose(parts.matrix().toarray() @ d, rhs, atol=1e-11)
 
 
 def test_solve_linear_not_pd(octagon1):
-    parts = assemble_jacobian(octagon1.mesh, kappa_const(octagon1),
-                              np.zeros(octagon1.mesh.vertex_count),
-                              octagon1.lengths)
+    parts = jacobian_at(octagon1.mesh, kappa_const(octagon1),
+                        np.zeros(octagon1.mesh.vertex_count),
+                        octagon1.lengths)
     parts.diag = parts.diag - 100.0          # force indefiniteness
     with pytest.raises(NotPositiveDefiniteError):
         solve_linear_spd(parts, np.ones(octagon1.mesh.vertex_count))
@@ -120,6 +120,21 @@ def test_solve_linear_not_pd(octagon1):
 
 
 # -- Newton -------------------------------------------------------------------
+
+def test_newton_evaluates_angles_once_per_point(corner_angle_calls):
+    # level 5, dual-distance kappa, seeded u0: the newton-l5 benchmark inputs.
+    # The start and every trial point take one angle evaluation each; the
+    # Jacobian reuses the accepted trial's angles.
+    m = models.octagon_fixture(5)
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(1).normal(0.0, 0.01, m.mesh.vertex_count)
+    result = newton_solve(m.mesh, kappa, m.lengths,
+                          SolveConfig(tolerance=1e-10, initial_u=u0))
+    assert result.converged
+    # a step of length 2**-b was accepted at the (b + 1)-th trial point
+    trial_points = sum(1 - round(np.log2(step)) for _, _, step, _ in result.step_log)
+    assert len(corner_angle_calls) == 1 + trial_points == 6
+
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_newton_converges_uniform_kappa(octagon_levels, level):
