@@ -126,15 +126,14 @@ def cmd_solve(args) -> int:
     result = newton_solve(mesh, kappa, lengths, cfg)
     elapsed = time.perf_counter() - t0
 
-    angles = geometry.corner_angles(
-        mesh, kappa, geometry.scale_lengths(mesh, result.u, lengths))
     report = {"command": "solve", **_input_digest(mesh, lengths)}
     report.update({
         "iterations": result.iterations,
         "converged": result.converged,
         "residual_inf": result.residual_inf,
-        "gauss_bonnet_residual": geometry.gauss_bonnet_residual(mesh, angles),
-        "acuteness_margin": geometry.acuteness_margin(angles),
+        "gauss_bonnet_residual": geometry.gauss_bonnet_residual(
+            mesh, result.angles),
+        "acuteness_margin": geometry.acuteness_margin(result.angles),
         "u_inf": float(np.max(np.abs(result.u))),
         "seconds": elapsed,
     })

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .mesh import SurfaceMesh
-from .solver import SolveConfig, newton_solve
+from .solver import newton_solve
 
 
 @dataclass
@@ -24,7 +24,6 @@ class ModelSurface:
     mesh: SurfaceMesh
     lengths: np.ndarray
     level: int
-    provenance: str
 
 
 # -- hyperboloid (Minkowski) model helpers ----------------------------------
@@ -86,8 +85,7 @@ def gen_octagon_genus2() -> ModelSurface:
                        edge_ids=np.arange(12),
                        face_ids=np.arange(8))
     lengths = np.array([spoke_len] * 8 + [side_len] * 4)
-    return ModelSurface(mesh=mesh, lengths=lengths, level=0,
-                        provenance="regular-octagon genus-2 identification")
+    return ModelSurface(mesh=mesh, lengths=lengths, level=0)
 
 
 def refine_midpoint(m: ModelSurface) -> ModelSurface:
@@ -138,9 +136,7 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
                            face_signs=new_face_signs.reshape(-1, 3),
                            edge_ids=np.arange(2 * E + 3 * F),
                            face_ids=np.arange(4 * F))
-    return ModelSurface(mesh=new_mesh, lengths=new_lengths, level=m.level + 1,
-                        provenance=f"{m.provenance}; midpoint refinement "
-                                   f"to level {m.level + 1}")
+    return ModelSurface(mesh=new_mesh, lengths=new_lengths, level=m.level + 1)
 
 
 def octagon_fixture(level: int) -> ModelSurface:
@@ -159,9 +155,7 @@ def true_angle_sum_defect(m: ModelSurface) -> float:
     no cone points.
     """
     angles = geometry.triangle_angles(m.lengths[m.mesh.face_edges])
-    sums = np.zeros(m.mesh.vertex_count)
-    np.add.at(sums, m.mesh.face_corners.ravel(), angles.ravel())
-    return float(np.max(np.abs(sums - 2.0 * np.pi)))
+    return float(np.max(np.abs(geometry.curvature_from_angles(m.mesh, angles))))
 
 
 def dual_distance_kappa(mesh: SurfaceMesh, amplitude: float) -> np.ndarray:
@@ -204,8 +198,7 @@ class StudyRow:
 CSV_HEADER = "level,max_len,margin,iters,residual,error_inf"
 
 
-def convergence_study(levels: int, kappa_value: float = -1.0,
-                      cfg: SolveConfig | None = None) -> list[StudyRow]:
+def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
     """Solve on octagon refinements 0..levels-1 and tabulate errors.
 
     For constant kappa = -1 the smooth reference factor is identically zero,
@@ -220,7 +213,7 @@ def convergence_study(levels: int, kappa_value: float = -1.0,
         kappa = np.full(m.mesh.face_count, kappa_value)
         margin = geometry.acuteness_margin(
             geometry.corner_angles(m.mesh, kappa, m.lengths))
-        result = newton_solve(m.mesh, kappa, m.lengths, cfg)
+        result = newton_solve(m.mesh, kappa, m.lengths)
         error = (float(np.max(np.abs(result.u))) if kappa_value == -1.0
                  else float("nan"))
         rows.append(StudyRow(level=level,

@@ -14,11 +14,13 @@ The backtracking is Armijo-style on |K|: a trial step t is accepted once
 |K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t) |K(u)|_2, and each rejection
 multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
 The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
-with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).
+with classical RK4, which follows the path K(u(t)) = (1-t) K(u0), and
+polishes the end point with the same Newton iteration.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,7 @@ BACKTRACK_SHRINK = 0.5
 BACKTRACK_SLOPE = 1e-4
 MAX_BACKTRACKS = 40
 
-# fractions of the continuation path at which the defect is recorded
+# continuation checkpoints: the first step at or past each fraction of the path
 CHECKPOINTS = (0.25, 0.5, 0.75)
 
 
@@ -93,10 +95,11 @@ class SolveResult:
     residual_inf: float
     iterations: int
     converged: bool
+    angles: np.ndarray  # (F, 3) corner angles at u
     # (iteration, residual_inf, step length, acuteness margin) per accepted step
     step_log: list[tuple[int, float, float, float]] = field(default_factory=list)
     used_gradient_fallback: bool = False
-    # continuation extras
+    # continuation only
     linearity_defect: float | None = None
     checkpoint_log: list[tuple[float, float, float]] = field(default_factory=list)
 
@@ -162,19 +165,26 @@ def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 
 
 def _evaluate(mesh, kappa, lengths, u):
-    """(scaled lengths, corner angles, K) at u, from one angle evaluation."""
+    """(u, scaled lengths, corner angles, K): one angle evaluation at u."""
     scaled = scale_lengths(mesh, u, lengths)
     angles = geometry.corner_angles(mesh, kappa, scaled)
-    return scaled, angles, curvature_from_angles(mesh, angles)
+    return u, scaled, angles, curvature_from_angles(mesh, angles)
+
+
+@contextmanager
+def _feasible(message: str):
+    """Re-raise an infeasible face as :class:`InfeasibleStartError`."""
+    try:
+        yield
+    except InfeasibleFaceError as exc:
+        raise InfeasibleStartError(f"{message}: {exc}") from None
 
 
 def _start_point(mesh, kappa, lengths, u):
     """Validate the inputs and :func:`_evaluate` the start point u."""
     validate_inputs(mesh, kappa, lengths, u)
-    try:
+    with _feasible("initial point infeasible"):
         return _evaluate(mesh, kappa, lengths, u)
-    except InfeasibleFaceError as exc:
-        raise InfeasibleStartError(f"initial point infeasible: {exc}") from None
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -190,13 +200,17 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     cfg = cfg or SolveConfig()
     u = (np.zeros(mesh.vertex_count) if cfg.initial_u is None
          else np.array(cfg.initial_u, dtype=float))
-    scaled, angles, K = _start_point(mesh, kappa, lengths, u)
+    return _newton(mesh, kappa, lengths, _start_point(mesh, kappa, lengths, u),
+                   cfg)
 
-    result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
-                         iterations=0, converged=False)
+
+def _newton(mesh, kappa, lengths, point, cfg: SolveConfig) -> SolveResult:
+    """The iteration of :func:`newton_solve`, from an :func:`_evaluate` point."""
+    u, scaled, angles, K = point
+    del point  # newton_solve's start arrays are freed by the first accepted step
+    step_log, used_gradient_fallback = [], False
     for it in range(cfg.max_iterations):
-        res_inf = float(np.max(np.abs(K)))
-        if res_inf <= cfg.tolerance:
+        if float(np.max(np.abs(K))) <= cfg.tolerance:
             break
 
         try:
@@ -204,37 +218,35 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
             d = solve_linear_spd(parts, -K)
         except (NotPositiveDefiniteError, CotangentSingularityError):
             d = -K
-            result.used_gradient_fallback = True
+            used_gradient_fallback = True
         except LinearSolveError as exc:
             raise LinearSolveError(f"iteration {it}: {exc}") from None
 
         norm2 = float(np.linalg.norm(K))
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
-            u_trial = u + step * d
             try:
-                scaled_t, angles_t, K_t = _evaluate(mesh, kappa, lengths, u_trial)
+                trial = _evaluate(mesh, kappa, lengths, u + step * d)
             except InfeasibleFaceError:
                 step *= BACKTRACK_SHRINK
                 continue
-            margin = geometry.acuteness_margin(angles_t)
+            margin = geometry.acuteness_margin(trial[2])
             if margin > MIN_MARGIN and (
-                    float(np.linalg.norm(K_t))
+                    float(np.linalg.norm(trial[3]))
                     <= (1.0 - BACKTRACK_SLOPE * step) * norm2):
                 break
             step *= BACKTRACK_SHRINK
         else:
-            result.iterations = it
             break
 
-        u, scaled, angles, K = u_trial, scaled_t, angles_t, K_t
-        result.step_log.append((it + 1, float(np.max(np.abs(K))), step, margin))
-        result.iterations = it + 1
+        u, scaled, angles, K = trial
+        step_log.append((it + 1, float(np.max(np.abs(K))), step, margin))
 
-    result.u = u
-    result.residual_inf = float(np.max(np.abs(K)))
-    result.converged = result.residual_inf <= cfg.tolerance
-    return result
+    residual_inf = float(np.max(np.abs(K)))
+    return SolveResult(u=u, residual_inf=residual_inf, iterations=len(step_log),
+                       converged=residual_inf <= cfg.tolerance, angles=angles,
+                       step_log=step_log,
+                       used_gradient_fallback=used_gradient_fallback)
 
 
 def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
@@ -243,27 +255,26 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     """Integrate u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0) from t=0 to 1.
 
     Classical fixed-step RK4; the exact solution follows
-    K(u(t)) = (1-t) K(u0), and the largest checkpoint deviation from that
-    line is recorded as ``linearity_defect``.  Optionally Newton-polishes
-    the endpoint.
+    K(u(t)) = (1-t) K(u0).  The first step at or past each fraction in
+    ``CHECKPOINTS`` logs its time t and its deviation from that line; the
+    largest deviation is ``linearity_defect``.  The result is the Newton
+    polish's, started from the RK4 end point, so ``iterations`` counts polish
+    steps; without ``newton_polish`` it is the unpolished end point, with
+    ``iterations = 0`` and ``converged = False``.
     """
     cfg = cfg or ContinuationConfig()
     u = np.array(u0, dtype=float)
-    _, _, K0 = _start_point(mesh, kappa, lengths, u)
+    K0 = _start_point(mesh, kappa, lengths, u)[3]
 
     def rhs(u_cur: np.ndarray, t: float) -> np.ndarray:
         scaled = scale_lengths(mesh, u_cur, lengths)
-        try:
+        with _feasible(f"infeasible configuration at t = {t:.6g}"):
             angles = geometry.corner_angles(mesh, kappa, scaled)
-        except InfeasibleFaceError as exc:
-            raise InfeasibleStartError(
-                f"infeasible configuration at t = {t:.6g}: {exc}") from None
         parts = assemble_jacobian(mesh, kappa, scaled, angles)
         return -solve_linear_spd(parts, K0)  # = (Delta - D)^{-1} K0
 
-    check_steps = {int(round(c * cfg.steps)): c for c in CHECKPOINTS}
-    result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K0))),
-                         iterations=0, converged=False)
+    check_steps = {int(np.ceil(c * cfg.steps)) for c in CHECKPOINTS}
+    checkpoint_log = []
     h = 1.0 / cfg.steps
     for n in range(cfg.steps):
         t = n * h
@@ -273,24 +284,20 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
         k4 = rhs(u + h * k3, t + h)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if n + 1 in check_steps:
-            c = check_steps[n + 1]
+            t = (n + 1) / cfg.steps
             Kt = discrete_curvature(mesh, kappa, u, lengths)
-            defect = float(np.max(np.abs(Kt - (1.0 - c) * K0)))
-            result.checkpoint_log.append((c, float(np.max(np.abs(Kt))), defect))
+            defect = float(np.max(np.abs(Kt - (1.0 - t) * K0)))
+            checkpoint_log.append((t, float(np.max(np.abs(Kt))), defect))
 
-    result.linearity_defect = (max(d for _, _, d in result.checkpoint_log)
-                               if result.checkpoint_log else None)
-    result.iterations = cfg.steps
-
+    with _feasible("infeasible configuration at t = 1"):
+        end = _evaluate(mesh, kappa, lengths, u)
     if cfg.newton_polish:
-        polish = newton_solve(mesh, kappa, lengths, SolveConfig(initial_u=u))
-        result.u = polish.u
-        result.residual_inf = polish.residual_inf
-        result.converged = polish.converged
+        result = _newton(mesh, kappa, lengths, end, SolveConfig())
     else:
-        K = discrete_curvature(mesh, kappa, u, lengths)
-        result.u = u
-        result.residual_inf = float(np.max(np.abs(K)))
+        result = SolveResult(u=u, residual_inf=float(np.max(np.abs(end[3]))),
+                             iterations=0, converged=False, angles=end[2])
+    result.linearity_defect = max(d for _, _, d in checkpoint_log)
+    result.checkpoint_log = checkpoint_log
     return result
 
 

@@ -198,7 +198,9 @@ def test_non_convergence_writes_one_error_line(tmp_path, mesh_file, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_solve_validates_topology_once(tmp_path, mesh_file, monkeypatch):
+@pytest.fixture
+def topology_calls(monkeypatch):
+    """List that grows by one per ``validate_topology`` call."""
     import dcpm.cli
     import dcpm.solver
     calls = []
@@ -206,22 +208,32 @@ def test_solve_validates_topology_once(tmp_path, mesh_file, monkeypatch):
     for module in (dcpm.cli, dcpm.solver):
         monkeypatch.setattr(module, "validate_topology",
                             lambda mesh: calls.append(1) or real(mesh))
+    return calls
+
+
+def test_solve_validates_topology_once(tmp_path, mesh_file, topology_calls):
     assert main(["solve", "--mesh", mesh_file, "--kappa", "const:-1",
                  "--out", str(tmp_path / "u")]) == EXIT_OK
-    assert len(calls) == 1
+    assert len(topology_calls) == 1
+
+
+def test_flow_validates_topology_once(tmp_path, mesh_file, topology_calls):
+    assert main(["flow", "--mesh", mesh_file, "--kappa", "const:-1",
+                 "--steps", "8", "--out", str(tmp_path / "u")]) == EXIT_OK
+    assert len(topology_calls) == 1
 
 
 def test_solve_and_check_evaluate_angles_once(tmp_path, octagon2, capsys,
                                               corner_angle_calls):
-    # solve: the start, each trial point, then one evaluation for the report;
-    # check: one evaluation for both the margin and Gauss-Bonnet
+    # solve: the start and each trial point; the report reads the angles of
+    # the last one.  check: one evaluation for the margin and Gauss-Bonnet
     path = tmp_path / "m.mesh"
     path.write_text(dump_mesh(octagon2.mesh, octagon2.lengths))
     assert main(["solve", "--mesh", str(path), "--kappa", "const:-1",
                  "--out", str(tmp_path / "u")]) == EXIT_OK
     iterations = int(parse_report(capsys.readouterr().out)["iterations"])
     # every step here is a full step: one trial point per iteration
-    assert len(corner_angle_calls) == 1 + iterations + 1 == 5
+    assert len(corner_angle_calls) == 1 + iterations == 4
     corner_angle_calls.clear()
     assert main(["check", "--mesh", str(path)]) == EXIT_OK
     assert len(corner_angle_calls) == 1
@@ -305,6 +317,20 @@ def test_flow_no_polish(tmp_path, mesh_file, capsys):
     report = parse_report(capsys.readouterr().out)
     assert report["converged"] == "False"
     assert float(report["linearity_defect"]) <= 1e-6
+
+
+def test_flow_checkpoints_at_step_times(tmp_path, mesh_file, capsys):
+    # 50 steps put no step at t = 0.25 or 0.75: each checkpoint is the first
+    # step past its fraction, labelled and measured at that step's own time
+    trace = tmp_path / "trace.csv"
+    assert main(["flow", "--mesh", mesh_file, "--kappa", "const:-1",
+                 "--steps", "50", "--no-polish", "--trace", str(trace),
+                 "--out", str(tmp_path / "u")]) == EXIT_OK
+    report = parse_report(capsys.readouterr().out)
+    assert float(report["linearity_defect"]) <= 1e-6
+    times = [float(line.split(",")[0])
+             for line in trace.read_text().splitlines()[1:]]
+    assert times == [13 / 50, 25 / 50, 38 / 50]
 
 
 # -- check ------------------------------------------------------------------

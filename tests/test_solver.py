@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcpm import models
-from dcpm.geometry import discrete_curvature
+from dcpm.geometry import corner_angles, discrete_curvature, scale_lengths
 from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
                          LinearSolveError, NotPositiveDefiniteError,
                          SolveConfig, SolverInputError, continuation_solve,
@@ -271,6 +271,46 @@ def test_continuation_polish(octagon1):
                                 ContinuationConfig(steps=32))
     assert result.converged
     assert result.residual_inf <= 1e-10
+
+
+def test_continuation_returns_the_polish(octagon1):
+    # the result is the Newton polish's own: its iterations and step log
+    m = octagon1
+    kappa = kappa_const(m)
+    result = continuation_solve(m.mesh, kappa, m.lengths,
+                                np.zeros(m.mesh.vertex_count),
+                                ContinuationConfig(steps=4))
+    assert result.converged
+    assert result.iterations >= 1
+    assert len(result.step_log) == result.iterations
+    assert len(result.checkpoint_log) == 3
+
+
+def test_results_carry_their_angles(octagon1):
+    m = octagon1
+    kappa = kappa_const(m, -1.2)
+    u0 = np.zeros(m.mesh.vertex_count)
+    results = [newton_solve(m.mesh, kappa, m.lengths)] + [
+        continuation_solve(m.mesh, kappa, m.lengths, u0,
+                           ContinuationConfig(steps=8, newton_polish=polish))
+        for polish in (True, False)]
+    for result in results:
+        np.testing.assert_array_equal(
+            result.angles,
+            corner_angles(m.mesh, kappa,
+                          scale_lengths(m.mesh, result.u, m.lengths)))
+
+
+def test_flow_l2_angle_evaluations(octagon2, corner_angle_calls):
+    # the flow-l2 benchmark op: the start, four per RK4 step, three
+    # checkpoints and the end point; the polish starts converged
+    m = octagon2
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(1).normal(0.0, 0.05, m.mesh.vertex_count)
+    result = continuation_solve(m.mesh, kappa, m.lengths, u0,
+                                ContinuationConfig(steps=250))
+    assert result.converged and result.iterations == 0
+    assert len(corner_angle_calls) == 1 + 4 * 250 + 3 + 1 == 1005
 
 
 # -- energy -------------------------------------------------------------------
