@@ -4,9 +4,9 @@ Reports are machine readable ``key = value`` lines on stdout; all numbers
 are printed with 17 significant digits so runs diff byte-for-byte.
 
 Exit codes, all mapped in :func:`main`: 0 success, 2 parse/validation
-error, 3 infeasible configuration, 4 non-convergence (best iterate still
-written) or a failed linear solve (nothing written).  Each of 2, 3 and 4
-writes one ``error:`` line to stderr.
+error or a file that cannot be read or written, 3 infeasible configuration,
+4 non-convergence (best iterate still written) or a failed linear solve
+(nothing written).  Each of 2, 3 and 4 writes one ``error:`` line to stderr.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -52,21 +52,30 @@ def _fmt(value) -> str:
 _VOLATILE_KEYS = ("seconds",)
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} file: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write file: {exc}")
+
+
 def _emit(report: dict, path: str | None = None) -> None:
     sys.stdout.write("".join(f"{k} = {_fmt(v)}\n" for k, v in report.items()))
     if path:
-        Path(path).write_text("".join(
-            f"{k} = {_fmt(v)}\n" for k, v in report.items()
-            if k not in _VOLATILE_KEYS))
+        _write(path, "".join(f"{k} = {_fmt(v)}\n" for k, v in report.items()
+                             if k not in _VOLATILE_KEYS))
 
 
 def _read_mesh(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read mesh file: {exc}")
-    try:
-        return load_mesh(text)
+        return load_mesh(_read(path, "mesh"))
     except MeshError as exc:
         raise CliError(f"invalid mesh: {exc}")
 
@@ -85,11 +94,7 @@ def _read_kappa(spec: str, mesh: SurfaceMesh) -> np.ndarray:
     if spec.startswith("const:"):
         return np.full(mesh.face_count, _const_kappa(spec))
     try:
-        text = Path(spec).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read curvature file: {exc}")
-    try:
-        return load_face_curvature(text, mesh)
+        return load_face_curvature(_read(spec, "curvature"), mesh)
     except MeshError as exc:
         raise CliError(f"invalid curvature file: {exc}")
 
@@ -103,7 +108,7 @@ def _config(cls, **fields):
 
 def _write_u(path: str, u: np.ndarray) -> None:
     lines = [f"u {i} {u[i]:.17g}" for i in range(len(u))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
@@ -166,7 +171,7 @@ def cmd_flow(args) -> int:
         lines = ["t,residual_inf,linearity_defect"]
         for t, res, defect in result.checkpoint_log:
             lines.append(f"{t:.17g},{res:.17g},{defect:.17g}")
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        _write(args.trace, "\n".join(lines) + "\n")
     _write_u(args.out, result.u)
     _emit(report, args.report)
     if args.polish:
@@ -209,7 +214,7 @@ def cmd_gen(args) -> int:
     if args.refine < 0:
         raise CliError("--refine must be >= 0")
     surface = models.octagon_fixture(args.refine)
-    Path(args.out).write_text(dump_mesh(surface.mesh, surface.lengths))
+    _write(args.out, dump_mesh(surface.mesh, surface.lengths))
     report = {
         "command": "gen",
         "model": args.model,
@@ -231,7 +236,7 @@ def cmd_converge(args) -> int:
     if args.levels < 1:
         raise CliError("--levels must be >= 1")
     rows = models.convergence_study(args.levels, value)
-    Path(args.out).write_text(models.rows_to_csv(rows))
+    _write(args.out, models.rows_to_csv(rows))
     report = {"command": "converge", "levels": args.levels, "out": args.out}
     for r in rows:
         report[f"level_{r.level}_error_inf"] = r.error_inf
@@ -250,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--kappa", required=True,
                    help="const:<negative value> or curvature file")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=float, default=SolveConfig.tolerance)
+    p.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations)
     p.add_argument("--out", default="u.out")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_solve)
@@ -259,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="continuation ODE solve")
     p.add_argument("--mesh", required=True)
     p.add_argument("--kappa", required=True)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=ContinuationConfig.steps)
     p.add_argument("--polish", action=argparse.BooleanOptionalAction,
-                   default=True)
+                   default=ContinuationConfig.newton_polish)
     p.add_argument("--trace", default=None)
     p.add_argument("--out", default="u.out")
     p.add_argument("--report", default=None)

@@ -14,20 +14,18 @@ The backtracking is Armijo-style on |K|: a trial step t is accepted once
 |K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t) |K(u)|_2, and each rejection
 multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
 The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
-with classical RK4, which follows the path K(u(t)) = (1-t) K(u0), and
-polishes the end point with the same Newton iteration.
+with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).  It too
+carries evaluated points, and the Newton polish starts from its last one.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .geometry import (InfeasibleFaceError, curvature_from_angles,
-                       discrete_curvature, scale_lengths)
+from .geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
+                       curvature_from_angles, discrete_curvature, scale_lengths)
 from .jacobian import CotangentSingularityError, JacobianParts, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
@@ -167,15 +165,19 @@ def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 def _evaluate(mesh, kappa, lengths, u):
     """(u, scaled lengths, corner angles, K): one angle evaluation at u."""
     scaled = scale_lengths(mesh, u, lengths)
-    angles = geometry.corner_angles(mesh, kappa, scaled)
+    angles = corner_angles(mesh, kappa, scaled)
     return u, scaled, angles, curvature_from_angles(mesh, angles)
 
 
-@contextmanager
-def _feasible(message: str):
-    """Re-raise an infeasible face as :class:`InfeasibleStartError`."""
+def _solve_at(mesh, kappa, scaled, angles, rhs):
+    """Solve J d = rhs, with J assembled at an :func:`_evaluate` point."""
+    return solve_linear_spd(assemble_jacobian(mesh, kappa, scaled, angles), rhs)
+
+
+def _feasible_point(mesh, kappa, lengths, u, message: str):
+    """:func:`_evaluate` u; an infeasible face raises InfeasibleStartError."""
     try:
-        yield
+        return _evaluate(mesh, kappa, lengths, u)
     except InfeasibleFaceError as exc:
         raise InfeasibleStartError(f"{message}: {exc}") from None
 
@@ -183,8 +185,7 @@ def _feasible(message: str):
 def _start_point(mesh, kappa, lengths, u):
     """Validate the inputs and :func:`_evaluate` the start point u."""
     validate_inputs(mesh, kappa, lengths, u)
-    with _feasible("initial point infeasible"):
-        return _evaluate(mesh, kappa, lengths, u)
+    return _feasible_point(mesh, kappa, lengths, u, "initial point infeasible")
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -214,8 +215,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig) -> SolveResult:
             break
 
         try:
-            parts = assemble_jacobian(mesh, kappa, scaled, angles)
-            d = solve_linear_spd(parts, -K)
+            d = _solve_at(mesh, kappa, scaled, angles, -K)
         except (NotPositiveDefiniteError, CotangentSingularityError):
             d = -K
             used_gradient_fallback = True
@@ -230,7 +230,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig) -> SolveResult:
             except InfeasibleFaceError:
                 step *= BACKTRACK_SHRINK
                 continue
-            margin = geometry.acuteness_margin(trial[2])
+            margin = acuteness_margin(trial[2])
             if margin > MIN_MARGIN and (
                     float(np.linalg.norm(trial[3]))
                     <= (1.0 - BACKTRACK_SLOPE * step) * norm2):
@@ -255,47 +255,46 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     """Integrate u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0) from t=0 to 1.
 
     Classical fixed-step RK4; the exact solution follows
-    K(u(t)) = (1-t) K(u0).  The first step at or past each fraction in
-    ``CHECKPOINTS`` logs its time t and its deviation from that line; the
-    largest deviation is ``linearity_defect``.  The result is the Newton
-    polish's, started from the RK4 end point, so ``iterations`` counts polish
-    steps; without ``newton_polish`` it is the unpolished end point, with
-    ``iterations = 0`` and ``converged = False``.
+    K(u(t)) = (1-t) K(u0).  The loop carries evaluated points: the start is
+    the first stage of step 0, and each step's end the first of the next.
+    The first step at or past each fraction in ``CHECKPOINTS`` logs its time
+    t and its deviation from that line; the largest is ``linearity_defect``.
+    The result is the Newton polish's, started from the last end point, so
+    ``iterations`` counts polish steps; without ``newton_polish`` it is that
+    end point, with ``iterations = 0`` and ``converged = False``.
     """
     cfg = cfg or ContinuationConfig()
-    u = np.array(u0, dtype=float)
-    K0 = _start_point(mesh, kappa, lengths, u)[3]
+    point = _start_point(mesh, kappa, lengths, np.array(u0, dtype=float))
+    K0 = point[3]
 
-    def rhs(u_cur: np.ndarray, t: float) -> np.ndarray:
-        scaled = scale_lengths(mesh, u_cur, lengths)
-        with _feasible(f"infeasible configuration at t = {t:.6g}"):
-            angles = geometry.corner_angles(mesh, kappa, scaled)
-        parts = assemble_jacobian(mesh, kappa, scaled, angles)
-        return -solve_linear_spd(parts, K0)  # = (Delta - D)^{-1} K0
+    def evaluate(u: np.ndarray, t: float):
+        return _feasible_point(mesh, kappa, lengths, u,
+                               f"infeasible configuration at t = {t:.6g}")
+
+    def velocity(p) -> np.ndarray:  # = (Delta - D)^{-1} K0 at a point
+        return -_solve_at(mesh, kappa, p[1], p[2], K0)
 
     check_steps = {int(np.ceil(c * cfg.steps)) for c in CHECKPOINTS}
     checkpoint_log = []
     h = 1.0 / cfg.steps
     for n in range(cfg.steps):
-        t = n * h
-        k1 = rhs(u, t)
-        k2 = rhs(u + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(u + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(u + h * k3, t + h)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t, u = n * h, point[0]
+        k1 = velocity(point)
+        k2 = velocity(evaluate(u + 0.5 * h * k1, t + 0.5 * h))
+        k3 = velocity(evaluate(u + 0.5 * h * k2, t + 0.5 * h))
+        k4 = velocity(evaluate(u + h * k3, t + h))
+        t = (n + 1) / cfg.steps
+        point = evaluate(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t)
         if n + 1 in check_steps:
-            t = (n + 1) / cfg.steps
-            Kt = discrete_curvature(mesh, kappa, u, lengths)
-            defect = float(np.max(np.abs(Kt - (1.0 - t) * K0)))
-            checkpoint_log.append((t, float(np.max(np.abs(Kt))), defect))
+            defect = float(np.max(np.abs(point[3] - (1.0 - t) * K0)))
+            checkpoint_log.append((t, float(np.max(np.abs(point[3]))), defect))
 
-    with _feasible("infeasible configuration at t = 1"):
-        end = _evaluate(mesh, kappa, lengths, u)
     if cfg.newton_polish:
-        result = _newton(mesh, kappa, lengths, end, SolveConfig())
+        result = _newton(mesh, kappa, lengths, point, SolveConfig())
     else:
-        result = SolveResult(u=u, residual_inf=float(np.max(np.abs(end[3]))),
-                             iterations=0, converged=False, angles=end[2])
+        u, _, angles, K = point
+        result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
+                             iterations=0, converged=False, angles=angles)
     result.linearity_defect = max(d for _, _, d in checkpoint_log)
     result.checkpoint_log = checkpoint_log
     return result

@@ -198,6 +198,31 @@ def test_non_convergence_writes_one_error_line(tmp_path, mesh_file, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--mesh", "{latin1}"],
+    ["solve", "--mesh", "{mesh}", "--kappa", "{latin1}", "--out", "{tmp}/u"],
+    ["gen", "octagon", "--out", "{nowhere}"],
+    ["check", "--mesh", "{mesh}", "--report", "{nowhere}"],
+    ["solve", "--mesh", "{mesh}", "--kappa", "const:-1", "--out", "{nowhere}"],
+    ["solve", "--mesh", "{mesh}", "--kappa", "const:-1", "--out", "{tmp}/u",
+     "--report", "{nowhere}"],
+    ["flow", "--mesh", "{mesh}", "--kappa", "const:-1", "--steps", "8",
+     "--out", "{tmp}/u", "--trace", "{nowhere}"],
+    ["converge", "--levels", "1", "--out", "{nowhere}"],
+], ids=["check-mesh-not-utf8", "solve-kappa-not-utf8", "gen-out",
+        "check-report", "solve-out", "solve-report", "flow-trace",
+        "converge-out"])
+def test_unreadable_or_unwritable_file_exits_2(tmp_path, mesh_file, capsys,
+                                               argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"v 14\n# caf\xe9 \xff\n")
+    paths = {"latin1": str(latin1), "mesh": mesh_file, "tmp": str(tmp_path),
+             "nowhere": str(tmp_path / "missing" / "out")}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def topology_calls(monkeypatch):
     """List that grows by one per ``validate_topology`` call."""

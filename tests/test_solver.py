@@ -302,15 +302,16 @@ def test_results_carry_their_angles(octagon1):
 
 
 def test_flow_l2_angle_evaluations(octagon2, corner_angle_calls):
-    # the flow-l2 benchmark op: the start, four per RK4 step, three
-    # checkpoints and the end point; the polish starts converged
+    # the flow-l2 benchmark op: the start, then three stages and the step's
+    # end per RK4 step; the end point feeds the checkpoint, the next step's
+    # first stage and the polish, which starts converged
     m = octagon2
     kappa = models.dual_distance_kappa(m.mesh, 0.5)
     u0 = np.random.default_rng(1).normal(0.0, 0.05, m.mesh.vertex_count)
     result = continuation_solve(m.mesh, kappa, m.lengths, u0,
                                 ContinuationConfig(steps=250))
     assert result.converged and result.iterations == 0
-    assert len(corner_angle_calls) == 1 + 4 * 250 + 3 + 1 == 1005
+    assert len(corner_angle_calls) == 1 + 4 * 250 == 1001
 
 
 # -- energy -------------------------------------------------------------------
