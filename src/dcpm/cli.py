@@ -36,9 +36,7 @@ EXIT_NO_CONVERGENCE = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+    """Invalid input, configuration or file access; main exits EXIT_INVALID."""
 
 
 def _fmt(value) -> str:
@@ -300,11 +298,10 @@ def main(argv=None) -> int:
         if code != EXIT_NO_CONVERGENCE:
             return code
         message = "no convergence; the best iterate was written"
-    except CliError as exc:
-        code, message = exc.code, str(exc)
     except (InfeasibleStartError, InfeasibleFaceError) as exc:
         code, message = EXIT_INFEASIBLE, str(exc)
-    except SolverInputError as exc:
+    # InfeasibleStartError is a SolverInputError, so it is caught above
+    except (CliError, SolverInputError) as exc:
         code, message = EXIT_INVALID, str(exc)
     except LinearSolveError as exc:
         code, message = EXIT_NO_CONVERGENCE, f"linear solve failed: {exc}"

@@ -5,15 +5,18 @@ A mesh is purely combinatorial: integer vertex ids, an explicit edge list
 edges chaining head-to-tail.  No coordinates are ever stored; all geometry
 lives in a separate per-edge length vector.
 
-File format (line oriented, '#' starts a comment)::
+Both text formats, a mesh file and a curvature file with one line per face,
+are line oriented: '#' starts a comment, and lines left blank are skipped::
 
     DCPM 1
     v <vertex_count>
     e <edge_id> <vertex_a> <vertex_b> <length>
     f <face_id> <±edge_id> <±edge_id> <±edge_id>
 
+    k <face_id> <value>
+
 Signed edge ids in ``f`` lines give the traversal direction: ``+`` walks the
-edge a→b, ``-`` walks it b→a.
+edge a→b, ``-`` walks it b→a.  A face may only reference edges on earlier lines.
 """
 
 from __future__ import annotations
@@ -135,21 +138,23 @@ class TopologyReport:
         return not self.violations and self.genus >= 2
 
 
-def _parse_int(tok: str, what: str, lineno: int) -> int:
+def _records(text: str):
+    """Yield (line number, stripped line, tokens) of each line that is not
+    blank once its comment is cut; both text formats are read through here."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+def _parse_number(kind: type, tok: str, what: str, lineno: int):
     try:
-        value = int(tok)
+        value = kind(tok)
     except ValueError:
         raise MeshError(f"line {lineno}: bad {what} {tok!r}") from None
-    if not -2**63 <= value < 2**63:
+    if kind is int and not -2**63 <= value < 2**63:
         raise MeshError(f"line {lineno}: {what} {tok!r} outside int64")
     return value
-
-
-def _parse_float(tok: str, what: str, lineno: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise MeshError(f"line {lineno}: bad {what} {tok!r}") from None
 
 
 def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
@@ -158,34 +163,25 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
     Lengths are indexed like ``mesh.edges`` (file order); external edge and
     face ids are preserved in ``edge_ids`` / ``face_ids``.
     """
-    vertex_count = None
-    edge_ids: list[int] = []
-    edge_verts: list[tuple[int, int]] = []
-    lengths: list[float] = []
-    eid_to_index: dict[int, int] = {}
-    face_ids: list[int] = []
-    face_rows: list[tuple[list[int], list[int]]] = []
-    fid_seen: set[int] = set()
+    records = _records(text)
+    header = next(records, None)
+    if header is None:
+        raise MeshError("empty file: missing header")
+    if header[1] != MAGIC:
+        raise MeshError(f"line {header[0]}: expected header {MAGIC!r}")
 
-    lines = text.splitlines()
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != MAGIC:
-                raise MeshError(f"line {lineno}: expected header {MAGIC!r}")
-            header_seen = True
-            continue
-        toks = line.split()
+    vertex_count = None
+    # id -> (a, b, length) and id -> (3 edge ids, 3 signs); dicts keep file order
+    edges: dict[int, tuple[int, int, float]] = {}
+    faces: dict[int, tuple[list[int], list[int]]] = {}
+    for lineno, _, toks in records:
         kind = toks[0]
         if kind == "v":
             if vertex_count is not None:
                 raise MeshError(f"line {lineno}: duplicate 'v' line")
             if len(toks) != 2:
                 raise MeshError(f"line {lineno}: 'v' takes one count")
-            vertex_count = _parse_int(toks[1], "vertex count", lineno)
+            vertex_count = _parse_number(int, toks[1], "vertex count", lineno)
             if vertex_count <= 0:
                 raise MeshError(f"line {lineno}: vertex count must be > 0")
         elif kind == "e":
@@ -193,65 +189,52 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
                 raise MeshError(f"line {lineno}: 'e' before 'v'")
             if len(toks) != 5:
                 raise MeshError(f"line {lineno}: 'e' takes id, endpoints, length")
-            eid = _parse_int(toks[1], "edge id", lineno)
-            if eid in eid_to_index:
+            eid = _parse_number(int, toks[1], "edge id", lineno)
+            if eid in edges:
                 raise MeshError(f"line {lineno}: duplicate edge id {eid}")
-            a = _parse_int(toks[2], "vertex", lineno)
-            b = _parse_int(toks[3], "vertex", lineno)
+            a = _parse_number(int, toks[2], "vertex", lineno)
+            b = _parse_number(int, toks[3], "vertex", lineno)
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise MeshError(f"line {lineno}: vertex id out of range")
-            length = _parse_float(toks[4], "length", lineno)
+            length = _parse_number(float, toks[4], "length", lineno)
             if not (length > 0 and math.isfinite(length)):
                 raise MeshError(f"line {lineno}: edge length must be finite and > 0")
-            eid_to_index[eid] = len(edge_ids)
-            edge_ids.append(eid)
-            edge_verts.append((a, b))
-            lengths.append(length)
+            edges[eid] = (a, b, length)
         elif kind == "f":
             if len(toks) != 5:
                 raise MeshError(f"line {lineno}: 'f' takes id and 3 signed edges")
-            fid = _parse_int(toks[1], "face id", lineno)
-            if fid in fid_seen:
+            fid = _parse_number(int, toks[1], "face id", lineno)
+            if fid in faces:
                 raise MeshError(f"line {lineno}: duplicate face id {fid}")
-            fid_seen.add(fid)
-            eidx: list[int] = []
-            signs: list[int] = []
+            eids, signs = [], []
             for tok in toks[2:]:
-                sign = 1
-                t = tok
-                if t.startswith("+"):
-                    t = t[1:]
-                elif t.startswith("-"):
-                    sign = -1
-                    t = t[1:]
-                eid = _parse_int(t, "edge reference", lineno)
-                if eid not in eid_to_index:
+                # one leading sign is the direction; the rest is the edge id
+                sign = -1 if tok[0] == "-" else 1
+                eid = _parse_number(int, tok[1:] if tok[0] in "+-" else tok,
+                                    "edge reference", lineno)
+                if eid not in edges:
                     raise MeshError(f"line {lineno}: face {fid} references "
                                     f"unknown edge {eid}")
-                eidx.append(eid_to_index[eid])
+                eids.append(eid)
                 signs.append(sign)
-            face_ids.append(fid)
-            face_rows.append((eidx, signs))
+            faces[fid] = (eids, signs)
         else:
             raise MeshError(f"line {lineno}: unknown record {kind!r}")
 
-    if not header_seen:
-        raise MeshError("empty file: missing header")
     if vertex_count is None:
         raise MeshError("missing 'v' line")
-    if not face_rows:
+    if not faces:
         raise MeshError("mesh has no faces")
 
-    face_edges = np.array([r[0] for r in face_rows], dtype=np.int64)
-    face_signs = np.array([r[1] for r in face_rows], dtype=np.int64)
-
+    # edge ids become edge indices; SurfaceMesh makes the int64 arrays
+    index = {eid: i for i, eid in enumerate(edges)}
     mesh = SurfaceMesh(vertex_count=vertex_count,
-                       edges=np.array(edge_verts, dtype=np.int64),
-                       face_edges=face_edges,
-                       face_signs=face_signs,
-                       edge_ids=np.array(edge_ids, dtype=np.int64),
-                       face_ids=np.array(face_ids, dtype=np.int64))
-    return mesh, np.array(lengths, dtype=float)
+                       edges=[(a, b) for a, b, _ in edges.values()],
+                       face_edges=[[index[eid] for eid in eids]
+                                   for eids, _ in faces.values()],
+                       face_signs=[signs for _, signs in faces.values()],
+                       edge_ids=list(edges), face_ids=list(faces))
+    return mesh, np.array([length for _, _, length in edges.values()], dtype=float)
 
 
 def dump_mesh(mesh: SurfaceMesh, lengths: np.ndarray) -> str:
@@ -337,26 +320,21 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
 def load_face_curvature(text: str, mesh: SurfaceMesh) -> np.ndarray:
     """Parse `k <face_id> <value>` lines into a per-face curvature vector."""
     values: dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, _, toks in _records(text):
         if toks[0] != "k" or len(toks) != 3:
             raise MeshError(f"line {lineno}: expected 'k <face_id> <value>'")
-        fid = _parse_int(toks[1], "face id", lineno)
+        fid = _parse_number(int, toks[1], "face id", lineno)
         if fid in values:
             raise MeshError(f"line {lineno}: duplicate face id {fid}")
-        values[fid] = _parse_float(toks[2], "curvature", lineno)
-    kappa = np.empty(mesh.face_count, dtype=float)
-    for f in range(mesh.face_count):
-        fid = int(mesh.face_ids[f])
+        values[fid] = _parse_number(float, toks[2], "curvature", lineno)
+    face_ids = mesh.face_ids.tolist()
+    for fid in face_ids:
         if fid not in values:
             raise MeshError(f"missing curvature for face {fid}")
-        kappa[f] = values[fid]
-    extra = set(values) - set(int(i) for i in mesh.face_ids)
+    extra = values.keys() - set(face_ids)
     if extra:
         raise MeshError(f"curvature given for unknown face {min(extra)}")
+    kappa = np.array([values[fid] for fid in face_ids], dtype=float)
     if not (np.isfinite(kappa) & (kappa < 0)).all():
         raise MeshError("face curvatures must be finite and strictly negative")
     return kappa

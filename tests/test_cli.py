@@ -451,6 +451,16 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_cli_contract(argv):
+    code, out, err = run_cli(argv)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_INFEASIBLE,
+                    EXIT_NO_CONVERGENCE), (argv[0], code, err)
+    err_lines = err.splitlines()
+    assert len(err_lines) == (code != EXIT_OK), (argv[0], err)
+    assert all(line.startswith("error: ") for line in err_lines)
+    assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_cli_contract_on_mutated_mesh(octagon1, data):
@@ -458,13 +468,20 @@ def test_cli_contract_on_mutated_mesh(octagon1, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.mesh")
         Path(path).write_text(text)
-        for argv in (["check", "--mesh", path],
-                     ["solve", "--mesh", path, "--kappa", "const:-1",
-                      "--max-iter", "20", "--out", os.path.join(tmp, "u")]):
-            code, out, err = run_cli(argv)
-            assert code in (EXIT_OK, EXIT_INVALID, EXIT_INFEASIBLE,
-                            EXIT_NO_CONVERGENCE), (argv[0], code, err)
-            err_lines = err.splitlines()
-            assert len(err_lines) == (code != EXIT_OK), (argv[0], err)
-            assert all(line.startswith("error: ") for line in err_lines)
-            assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+        assert_cli_contract(["check", "--mesh", path])
+        assert_cli_contract(["solve", "--mesh", path, "--kappa", "const:-1",
+                             "--max-iter", "20", "--out", os.path.join(tmp, "u")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cli_contract_on_mutated_curvature(octagon1, data):
+    kappa_text = "".join(f"k {fid} -1\n" for fid in octagon1.mesh.face_ids.tolist())
+    text = data.draw(mutated_mesh(kappa_text))
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh_path, kappa_path = os.path.join(tmp, "m.mesh"), os.path.join(tmp, "m.k")
+        Path(mesh_path).write_text(dump_mesh(octagon1.mesh, octagon1.lengths))
+        Path(kappa_path).write_text(text)
+        assert_cli_contract(["check", "--mesh", mesh_path, "--kappa", kappa_path])
+        assert_cli_contract(["solve", "--mesh", mesh_path, "--kappa", kappa_path,
+                             "--max-iter", "20", "--out", os.path.join(tmp, "u")])

@@ -215,3 +215,93 @@ def test_curvature_file(tetra):
         load_face_curvature("k 0 -1.0", mesh)
     with pytest.raises(MeshError, match="negative"):
         load_face_curvature(text.replace("k 2 -1.5", "k 2 0.5"), mesh)
+
+
+TETRA_KAPPA = "k 0 -1.5\nk 1 -1.5\nk 2 -1.5\nk 3 -1.5\n"
+
+
+def edited(text, old, new):
+    assert old in text, old
+    return text.replace(old, new)
+
+
+def tetra_edit(old, new):
+    return edited(TETRA_TEXT, old, new), TETRA_KAPPA
+
+
+def kappa_edit(old, new):
+    return TETRA_TEXT, edited(TETRA_KAPPA, old, new)
+
+
+# Each message the two text parsers raise, in full, plus two that
+# SurfaceMesh raises for a parsed file.  Lines of TETRA_TEXT: 1 header,
+# 2 'v', 3-8 edges 0-5, 9-12 faces 0-3.
+@pytest.mark.parametrize("texts, message", [
+    (("", TETRA_KAPPA), "empty file: missing header"),
+    (("# nothing\n\n  \n", TETRA_KAPPA), "empty file: missing header"),
+    (tetra_edit("DCPM 1", "DCPM 2"), "line 1: expected header 'DCPM 1'"),
+    (tetra_edit("DCPM 1", "\n# c\nDCPM  1"), "line 3: expected header 'DCPM 1'"),
+    (tetra_edit("v 4\n", "v 4\nv 4\n"), "line 3: duplicate 'v' line"),
+    (tetra_edit("v 4", "v 4 4"), "line 2: 'v' takes one count"),
+    (tetra_edit("v 4", "v"), "line 2: 'v' takes one count"),
+    (tetra_edit("v 4", "v four"), "line 2: bad vertex count 'four'"),
+    (tetra_edit("v 4", "v 99999999999999999999"),
+     "line 2: vertex count '99999999999999999999' outside int64"),
+    (tetra_edit("v 4", "v 0"), "line 2: vertex count must be > 0"),
+    (tetra_edit("v 4\ne 0 0 1 1.0\n", "e 0 0 1 1.0\nv 4\n"),
+     "line 2: 'e' before 'v'"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 1"),
+     "line 3: 'e' takes id, endpoints, length"),
+    (tetra_edit("e 0 0 1 1.0", "e x 0 1 1.0"), "line 3: bad edge id 'x'"),
+    (tetra_edit("e 0 0 1 1.0", "e -9223372036854775809 0 1 1.0"),
+     "line 3: edge id '-9223372036854775809' outside int64"),
+    (tetra_edit("e 1 0 2 1.0", "e 0 0 2 1.0"), "line 4: duplicate edge id 0"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 y 1.0"), "line 3: bad vertex 'y'"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 4 1.0"), "line 3: vertex id out of range"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 -1 1 1.0"), "line 3: vertex id out of range"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 1 long"), "line 3: bad length 'long'"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 1 inf"),
+     "line 3: edge length must be finite and > 0"),
+    (tetra_edit("e 0 0 1 1.0", "e 0 0 1 -0"),
+     "line 3: edge length must be finite and > 0"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 +3"),
+     "line 9: 'f' takes id and 3 signed edges"),
+    (tetra_edit("f 0 +0 +3 -1", "f z +0 +3 -1"), "line 9: bad face id 'z'"),
+    (tetra_edit("f 1 +1 +5 -2", "f 0 +1 +5 -2"), "line 10: duplicate face id 0"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 +x -1"),
+     "line 9: bad edge reference 'x'"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 + -1"), "line 9: bad edge reference ''"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 +3 --1"),
+     "line 9: face 0 references unknown edge -1"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 +9 -1"),
+     "line 9: face 0 references unknown edge 9"),
+    # edge 5 defined after the faces: references must point backwards
+    ((edited(TETRA_TEXT, "e 5 2 3 1.0\n", "") + "e 5 2 3 1.0\n", TETRA_KAPPA),
+     "line 9: face 1 references unknown edge 5"),
+    (tetra_edit("f 3", "q 3"), "line 12: unknown record 'q'"),
+    (("DCPM 1\n", TETRA_KAPPA), "missing 'v' line"),
+    (("DCPM 1\nv 4\n", TETRA_KAPPA), "mesh has no faces"),
+    (tetra_edit("f 0 +0 +3 -1", "f 0 +0 -3 -1"),
+     "face 0: directed edges do not chain head-to-tail"),
+    ((TETRA_TEXT + "e 6 1 2 1.0\n", TETRA_KAPPA),
+     "dangling edge 6: not used by exactly 2 face slots"),
+    (kappa_edit("k 0 -1.5", "k 0 -1.5 0"), "line 1: expected 'k <face_id> <value>'"),
+    (kappa_edit("k 2 -1.5", "# c\nK 2 -1.5"),
+     "line 4: expected 'k <face_id> <value>'"),
+    (kappa_edit("k 1 -1.5", "k one -1.5"), "line 2: bad face id 'one'"),
+    (kappa_edit("k 1 -1.5", "k 0 -1.5"), "line 2: duplicate face id 0"),
+    (kappa_edit("k 3 -1.5", "k 3 steep"), "line 4: bad curvature 'steep'"),
+    (kappa_edit("k 3 -1.5", "k 3 -1.5\nk 9 -1\nk 5 -1"),
+     "curvature given for unknown face 5"),
+    (kappa_edit("k 1 -1.5\nk 2 -1.5", "k 9 -1"), "missing curvature for face 1"),
+    (kappa_edit("k 2 -1.5", "k 2 0.5"),
+     "face curvatures must be finite and strictly negative"),
+    (kappa_edit("k 2 -1.5", "k 2 nan"),
+     "face curvatures must be finite and strictly negative"),
+])
+def test_parser_messages(texts, message):
+    mesh_text, kappa_text = texts
+    with pytest.raises(MeshError) as err:
+        mesh, _ = load_mesh(mesh_text)
+        load_face_curvature(kappa_text, mesh)
+    assert str(err.value) == message
