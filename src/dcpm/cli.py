@@ -7,6 +7,8 @@ Exit codes, all mapped in :func:`main`: 0 success, 2 parse/validation
 error or a file that cannot be read or written, 3 infeasible configuration,
 4 non-convergence (best iterate still written) or a failed linear solve
 (nothing written).  Each of 2, 3 and 4 writes one ``error:`` line to stderr.
+``solve`` and ``flow`` check every output path before they solve, so an
+unwritable one exits 2 with nothing written.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -15,6 +17,7 @@ solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -62,6 +65,24 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise CliError(f"cannot write file: {exc}")
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Raise CliError unless every given output path can be opened for
+    writing, so that a command fails before it solves or writes anything.
+
+    Each path is opened for appending and closed, which changes no file; one
+    that did not exist is removed again.
+    """
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise CliError(f"cannot write file: {exc}")
+        if not existed:
+            Path(path).unlink()
 
 
 def _emit(report: dict, path: str | None = None) -> None:
@@ -124,6 +145,7 @@ def cmd_solve(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(SolveConfig, tolerance=args.tol, max_iterations=args.max_iter)
+    _check_writable(args.out, args.report)
 
     t0 = time.perf_counter()
     result = newton_solve(mesh, kappa, lengths, cfg)
@@ -149,6 +171,7 @@ def cmd_flow(args) -> int:
     mesh, lengths = _read_mesh(args.mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(ContinuationConfig, steps=args.steps, newton_polish=args.polish)
+    _check_writable(args.trace, args.out, args.report)
 
     t0 = time.perf_counter()
     result = continuation_solve(mesh, kappa, lengths,

@@ -11,7 +11,7 @@ first use and cached on the mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +20,7 @@ from .mesh import SurfaceMesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+    from scipy.sparse.linalg import SuperLU
 
 COT_SINGULARITY_TOL = 1e-12
 
@@ -95,11 +96,14 @@ class JacobianParts:
 
     ``eta`` is per edge (summed over the two incident faces) and ``diag`` per
     vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
+    ``factor`` is the sparse LU of :meth:`matrix` once
+    ``solver.solve_linear_spd`` has factored it.
     """
 
     mesh: SurfaceMesh
     eta: np.ndarray
     diag: np.ndarray
+    factor: SuperLU | None = field(default=None, repr=False)
 
     def matrix(self) -> sp.csc_matrix:
         """Sparse Jacobian D - Delta_eta, filled into the mesh's plan."""

@@ -17,6 +17,7 @@ are line oriented: '#' starts a comment, and lines left blank are skipped::
 
 Signed edge ids in ``f`` lines give the traversal direction: ``+`` walks the
 edge a→b, ``-`` walks it b→a.  A face may only reference edges on earlier lines.
+Numbers are ASCII: a token with a ``_`` or a non-ASCII character is rejected.
 """
 
 from __future__ import annotations
@@ -148,7 +149,10 @@ def _records(text: str):
 
 
 def _parse_number(kind: type, tok: str, what: str, lineno: int):
+    # int() and float() also take digit-group underscores and non-ASCII digits
     try:
+        if "_" in tok or not tok.isascii():
+            raise ValueError
         value = kind(tok)
     except ValueError:
         raise MeshError(f"line {lineno}: bad {what} {tok!r}") from None

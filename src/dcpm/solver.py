@@ -1,13 +1,19 @@
 """Solvers for K(u) = 0: damped Newton iteration and a continuation ODE.
 
-The Newton step solves (D - Delta_eta) d = -K with a sparse LU
-factorization of the CSC Jacobian (``splu``, COLAMD ordering).  The system
-is positive definite near acute configurations and nonsingular in general,
-so no gauge fixing is needed.  Every solve is checked twice: d must be a
-descent direction for the line search (rhs . d > 0, which holds whenever the
-matrix is positive definite), and the recomputed residual |J d - rhs| must
-be small relative to |rhs|.  A step that fails the first check falls back
-to a gradient step; the step itself uses feasibility-aware backtracking.
+The Newton step solves (D - Delta_eta) d = -K.  Each solve call factors its
+first CSC Jacobian by sparse LU (``splu`` with a symmetric minimum-degree
+ordering) and holds that factor: every later system of the call is solved
+by conjugate gradients preconditioned with it, since the Jacobian moves
+little between steps.  CG that does not converge within
+``CG_MAX_ITERATIONS`` or meets a direction of non-positive curvature drops
+the held factor, and the system is factored afresh, which is the direct
+path.  The system is positive definite near acute configurations and
+nonsingular in general, so no gauge fixing is needed.  Every direction,
+from CG or LU, is checked twice: d must be a descent direction for the
+line search (rhs . d > 0, which holds whenever the matrix is positive
+definite), and the recomputed residual |J d - rhs| must be small relative
+to |rhs|.  A step that fails the first check falls back to a gradient
+step; the step itself uses feasibility-aware backtracking.
 The angles of each trial point give its K and margin and, once accepted,
 the next Jacobian.
 The backtracking is Armijo-style on |K|: a trial step t is accepted once
@@ -15,7 +21,8 @@ The backtracking is Armijo-style on |K|: a trial step t is accepted once
 multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
 The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
 with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).  It too
-carries evaluated points, and the Newton polish starts from its last one.
+carries evaluated points and a held factor, and the Newton polish starts
+from its last point and factor.
 """
 
 from __future__ import annotations
@@ -34,6 +41,13 @@ from .mesh import SurfaceMesh, validate_topology
 MIN_MARGIN = -np.pi / 4
 
 LINEAR_RESIDUAL_RTOL = 1e-10
+
+# CG on a held factor stops at max|r| <= CG_RTOL * max|rhs|, well inside the
+# residual check.  After CG_MAX_ITERATIONS steps the factor counts as aged and
+# the system is factored afresh; the first system after the factor of a
+# Newton solve takes 13-14 steps on octagon levels 5-7, the later ones 10-12.
+CG_RTOL = 1e-12
+CG_MAX_ITERATIONS = 16
 
 BACKTRACK_SHRINK = 0.5
 BACKTRACK_SLOPE = 1e-4
@@ -102,23 +116,17 @@ class SolveResult:
     checkpoint_log: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
-    """Solve (D - Delta_eta) d = rhs by sparse LU of the CSC Jacobian.
+def _checked_direction(J, rhs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Return d, a solution of J d = rhs, once it passes both checks.
 
-    LU factors indefinite matrices too, so positive definiteness is tested
-    through what the line search needs: for nonzero ``rhs``, d must satisfy
-    rhs . d > 0 (with rhs = -K, d is a descent direction for |K|).  Raises
-    :class:`NotPositiveDefiniteError` when the factor is exactly singular or
-    that test fails, and :class:`LinearSolveError` when the recomputed
-    residual max|J d - rhs| exceeds ``LINEAR_RESIDUAL_RTOL * max|rhs|``.
+    LU factors indefinite matrices too, and CG may finish on one, so
+    positive definiteness is tested through what the line search needs: for
+    nonzero ``rhs``, d must satisfy rhs . d > 0 (with rhs = -K, d is a
+    descent direction for |K|), or :class:`NotPositiveDefiniteError` is
+    raised.  :class:`LinearSolveError`
+    is raised when the recomputed residual max|J d - rhs| exceeds
+    ``LINEAR_RESIDUAL_RTOL * max|rhs|``.
     """
-    from scipy.sparse.linalg import splu
-
-    J = parts.matrix()
-    try:
-        d = splu(J).solve(rhs)
-    except RuntimeError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
     rhs_norm = float(np.max(np.abs(rhs)))
     if rhs_norm == 0.0:
         return d
@@ -132,6 +140,82 @@ def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
             f"linear solve residual {resid:.3e} exceeds "
             f"{LINEAR_RESIDUAL_RTOL:.0e} * |rhs|")
     return d
+
+
+def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
+    """Solve (D - Delta_eta) d = rhs by a fresh sparse LU of the CSC Jacobian.
+
+    The LU orders rows and columns alike, by minimum degree on J + J^T, and
+    is kept as ``parts.factor``.  Raises :class:`NotPositiveDefiniteError`
+    when the factor is exactly singular, and otherwise whatever
+    :func:`_checked_direction` raises.
+    """
+    from scipy.sparse.linalg import splu
+
+    J = parts.matrix()
+    try:
+        parts.factor = splu(J, permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from None
+    return _checked_direction(J, rhs, parts.factor.solve(rhs))
+
+
+def _preconditioned_cg(J, rhs: np.ndarray, factor,
+                       guess: np.ndarray | None = None) -> np.ndarray | None:
+    """Solve J d = rhs by CG preconditioned with an LU ``factor`` of a nearby J.
+
+    Starts from ``guess`` (or 0) and stops at max|r| <= ``CG_RTOL *
+    max|rhs|``.  Returns None after ``CG_MAX_ITERATIONS`` steps, or at a
+    search direction p with p . J p <= 0 or a preconditioned residual with
+    r . z <= 0, neither of which a positive definite J and factor allow.
+    """
+    tol = CG_RTOL * float(np.max(np.abs(rhs)))
+    if guess is None:
+        d, r = np.zeros_like(rhs), rhs
+    else:
+        d, r = guess, rhs - J @ guess
+    p, rz = np.zeros_like(rhs), 1.0
+    for _ in range(CG_MAX_ITERATIONS):
+        if float(np.max(np.abs(r))) <= tol:
+            return d
+        z = factor.solve(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+        Jp = J @ p
+        curvature = float(p @ Jp)
+        if not (rz > 0.0 and curvature > 0.0):
+            return None
+        alpha = rz / curvature
+        d = d + alpha * p
+        r = r - alpha * Jp
+    return d if float(np.max(np.abs(r))) <= tol else None
+
+
+class _HeldFactor:
+    """Solves the linear systems of one solve call, holding its last LU.
+
+    The first system, and any that CG on the held factor cannot finish, is
+    solved by :func:`solve_linear_spd`, whose factor is held from then on;
+    every other one by :func:`_preconditioned_cg`, from the caller's
+    ``guess`` of the solution if it has one.  The factor depends on u, so it
+    is never kept past the call.
+    """
+
+    def __init__(self):
+        self.factor = None
+
+    def solve(self, parts: JacobianParts, rhs: np.ndarray,
+              guess: np.ndarray | None = None) -> np.ndarray:
+        if self.factor is not None:
+            J = parts.matrix()
+            d = _preconditioned_cg(J, rhs, self.factor, guess)
+            if d is not None:
+                return _checked_direction(J, rhs, d)
+            self.factor = None
+        d = solve_linear_spd(parts, rhs)
+        self.factor = parts.factor
+        return d
 
 
 def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -169,11 +253,6 @@ def _evaluate(mesh, kappa, lengths, u):
     return u, scaled, angles, curvature_from_angles(mesh, angles)
 
 
-def _solve_at(mesh, kappa, scaled, angles, rhs):
-    """Solve J d = rhs, with J assembled at an :func:`_evaluate` point."""
-    return solve_linear_spd(assemble_jacobian(mesh, kappa, scaled, angles), rhs)
-
-
 def _feasible_point(mesh, kappa, lengths, u, message: str):
     """:func:`_evaluate` u; an infeasible face raises InfeasibleStartError."""
     try:
@@ -202,11 +281,13 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     u = (np.zeros(mesh.vertex_count) if cfg.initial_u is None
          else np.array(cfg.initial_u, dtype=float))
     return _newton(mesh, kappa, lengths, _start_point(mesh, kappa, lengths, u),
-                   cfg)
+                   cfg, _HeldFactor())
 
 
-def _newton(mesh, kappa, lengths, point, cfg: SolveConfig) -> SolveResult:
-    """The iteration of :func:`newton_solve`, from an :func:`_evaluate` point."""
+def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
+            held: _HeldFactor) -> SolveResult:
+    """The iteration of :func:`newton_solve`, from an :func:`_evaluate` point,
+    solving its systems through ``held``."""
     u, scaled, angles, K = point
     del point  # newton_solve's start arrays are freed by the first accepted step
     step_log, used_gradient_fallback = [], False
@@ -215,7 +296,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig) -> SolveResult:
             break
 
         try:
-            d = _solve_at(mesh, kappa, scaled, angles, -K)
+            d = held.solve(assemble_jacobian(mesh, kappa, scaled, angles), -K)
         except (NotPositiveDefiniteError, CotangentSingularityError):
             d = -K
             used_gradient_fallback = True
@@ -266,13 +347,18 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     cfg = cfg or ContinuationConfig()
     point = _start_point(mesh, kappa, lengths, np.array(u0, dtype=float))
     K0 = point[3]
+    held = _HeldFactor()
 
     def evaluate(u: np.ndarray, t: float):
         return _feasible_point(mesh, kappa, lengths, u,
                                f"infeasible configuration at t = {t:.6g}")
 
+    d = None  # the last solution of J d = K0, a guess for the next
+
     def velocity(p) -> np.ndarray:  # = (Delta - D)^{-1} K0 at a point
-        return -_solve_at(mesh, kappa, p[1], p[2], K0)
+        nonlocal d
+        d = held.solve(assemble_jacobian(mesh, kappa, p[1], p[2]), K0, d)
+        return -d
 
     check_steps = {int(np.ceil(c * cfg.steps)) for c in CHECKPOINTS}
     checkpoint_log = []
@@ -290,7 +376,7 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
             checkpoint_log.append((t, float(np.max(np.abs(point[3]))), defect))
 
     if cfg.newton_polish:
-        result = _newton(mesh, kappa, lengths, point, SolveConfig())
+        result = _newton(mesh, kappa, lengths, point, SolveConfig(), held)
     else:
         u, _, angles, K = point
         result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),

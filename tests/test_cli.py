@@ -223,6 +223,42 @@ def test_unreadable_or_unwritable_file_exits_2(tmp_path, mesh_file, capsys,
     assert err.startswith("error: cannot ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{tmp}/u", "--report", "{nowhere}"],
+    ["solve", "--out", "{nowhere}", "--report", "{tmp}/r"],
+    ["solve", "--out", "{tmp}/u", "--report", "{tmp}"],
+    ["flow", "--steps", "8", "--out", "{tmp}/u", "--report", "{nowhere}",
+     "--trace", "{tmp}/t"],
+    ["flow", "--steps", "8", "--out", "{tmp}/u", "--report", "{tmp}/r",
+     "--trace", "{nowhere}"],
+    ["flow", "--steps", "8", "--out", "{nowhere}", "--report", "{tmp}/r",
+     "--trace", "{tmp}/t"],
+], ids=["solve-report", "solve-out", "solve-report-is-dir", "flow-report",
+        "flow-trace", "flow-out"])
+def test_unwritable_output_stops_before_solving(tmp_path, mesh_file, capsys,
+                                                monkeypatch, argv):
+    # every output path is checked first: nothing is solved or written, and
+    # an output that already exists keeps its bytes
+    import dcpm.cli
+
+    def no_solve(*args):
+        raise AssertionError("solved despite an unwritable output")
+
+    monkeypatch.setattr(dcpm.cli, "newton_solve", no_solve)
+    monkeypatch.setattr(dcpm.cli, "continuation_solve", no_solve)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "r").write_text("old report\n")
+    paths = {"tmp": str(out_dir), "nowhere": str(tmp_path / "missing" / "x")}
+    argv = argv[:1] + ["--mesh", mesh_file, "--kappa", "const:-1"] + argv[1:]
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write file: ") and err.count("\n") == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["r"]
+    assert (out_dir / "r").read_text() == "old report\n"
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.fixture
 def topology_calls(monkeypatch):
     """List that grows by one per ``validate_topology`` call."""

@@ -305,3 +305,33 @@ def test_parser_messages(texts, message):
         mesh, _ = load_mesh(mesh_text)
         load_face_curvature(kappa_text, mesh)
     assert str(err.value) == message
+
+
+# Python's int() and float() read digit-group underscores and any Unicode
+# decimal digit; the file formats take ASCII numbers only.
+@pytest.mark.parametrize("texts, message", [
+    (tetra_edit("v 4", "v 0_4"), "line 2: bad vertex count '0_4'"),
+    (tetra_edit("v 4", "v \u0664"), "line 2: bad vertex count '\u0664'"),
+    (tetra_edit("e 1 0 2 1.0", "e 1_0 0 2 1.0"), "line 4: bad edge id '1_0'"),
+    (tetra_edit("e 1 0 2 1.0", "e 1 0 \u0662 1.0"), "line 4: bad vertex '\u0662'"),
+    (tetra_edit("e 1 0 2 1.0", "e 1 0 \uff12 1.0"), "line 4: bad vertex '\uff12'"),
+    (tetra_edit("e 1 0 2 1.0", "e 1 0 2 1_0.0"), "line 4: bad length '1_0.0'"),
+    (tetra_edit("e 1 0 2 1.0", "e 1 0 2 1.\u0660"), "line 4: bad length '1.\u0660'"),
+    (tetra_edit("f 1 +1 +5 -2", "f 1_1 +1 +5 -2"), "line 10: bad face id '1_1'"),
+    (tetra_edit("f 1 +1 +5 -2", "f 1 +1 +\u0665 -2"),
+     "line 10: bad edge reference '\u0665'"),
+    (tetra_edit("f 1 +1 +5 -2", "f 1 +1 +0_5 -2"),
+     "line 10: bad edge reference '0_5'"),
+    (kappa_edit("k 1 -1.5", "k \u0661 -1.5"), "line 2: bad face id '\u0661'"),
+    (kappa_edit("k 1 -1.5", "k 1 -1_5"), "line 2: bad curvature '-1_5'"),
+    (kappa_edit("k 1 -1.5", "k 1 -\u0661.5"), "line 2: bad curvature '-\u0661.5'"),
+], ids=["v-underscore", "v-arabic-indic", "e-id-underscore", "e-vertex-arabic",
+        "e-vertex-fullwidth", "e-length-underscore", "e-length-arabic",
+        "f-id-underscore", "f-ref-arabic", "f-ref-underscore", "k-id-arabic",
+        "k-value-underscore", "k-value-arabic"])
+def test_parser_takes_ascii_numbers_only(texts, message):
+    mesh_text, kappa_text = texts
+    with pytest.raises(MeshError) as err:
+        mesh, _ = load_mesh(mesh_text)
+        load_face_curvature(kappa_text, mesh)
+    assert str(err.value) == message

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcpm import models
+from dcpm import models, solver
 from dcpm.geometry import corner_angles, discrete_curvature, scale_lengths
 from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
                          LinearSolveError, NotPositiveDefiniteError,
                          SolveConfig, SolverInputError, continuation_solve,
                          energy_along_path, newton_solve, solve_linear_spd)
 
-from conftest import TETRA_TEXT, jacobian_at
+from conftest import TETRA_TEXT, jacobian_at, random_feasible_instance
 
 
 def kappa_const(m, value=-1.0):
@@ -312,6 +314,180 @@ def test_flow_l2_angle_evaluations(octagon2, corner_angle_calls):
                                 ContinuationConfig(steps=250))
     assert result.converged and result.iterations == 0
     assert len(corner_angle_calls) == 1 + 4 * 250 == 1001
+
+
+# -- held factor --------------------------------------------------------------
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """List that grows by one per ``solver.solve_linear_spd`` call."""
+    calls = []
+    real_solve = solver.solve_linear_spd
+
+    def counted(parts, rhs):
+        calls.append(1)
+        return real_solve(parts, rhs)
+
+    monkeypatch.setattr(solver, "solve_linear_spd", counted)
+    return calls
+
+
+def newton_refactoring_every_step(mesh, kappa, lengths, cfg=None):
+    """Reference: ``newton_solve`` with every direction from a fresh factor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._HeldFactor, "solve",
+                   lambda self, parts, rhs, guess=None:
+                   solver.solve_linear_spd(parts, rhs))
+        return newton_solve(mesh, kappa, lengths, cfg)
+
+
+def test_newton_l5_factors_once(factorizations):
+    # the newton-l5 benchmark inputs: the first direction is factored, the
+    # other four are CG on that factor
+    m = models.octagon_fixture(5)
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(1).normal(0.0, 0.01, m.mesh.vertex_count)
+    result = newton_solve(m.mesh, kappa, m.lengths,
+                          SolveConfig(tolerance=1e-10, initial_u=u0))
+    assert result.converged and result.iterations == 5
+    assert not result.used_gradient_fallback
+    assert len(factorizations) == 1
+
+
+def test_flow_l2_factors_far_fewer_than_its_systems(octagon2, factorizations):
+    # the flow-l2 benchmark op solves 1000 systems, one per RK4 stage
+    m = octagon2
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(1).normal(0.0, 0.05, m.mesh.vertex_count)
+    result = continuation_solve(m.mesh, kappa, m.lengths, u0,
+                                ContinuationConfig(steps=250))
+    assert result.converged
+    assert 1 <= len(factorizations) <= 10
+
+
+def test_continuation_hands_its_factor_to_the_polish(octagon1, factorizations):
+    # four RK4 steps leave the polish a Newton step, solved by CG on the
+    # factor of the first RK4 stage
+    m = octagon1
+    result = continuation_solve(m.mesh, kappa_const(m), m.lengths,
+                                np.zeros(m.mesh.vertex_count),
+                                ContinuationConfig(steps=4))
+    assert result.converged and result.iterations >= 1
+    assert len(factorizations) == 1
+
+
+def _held_on(m, u, factorizations):
+    """A held factor of the Jacobian at u, and the system it was made from."""
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    parts = jacobian_at(m.mesh, kappa, u, m.lengths)
+    held = solver._HeldFactor()
+    rhs = np.ones(m.mesh.vertex_count)
+    held.solve(parts, rhs)
+    assert held.factor is parts.factor is not None and len(factorizations) == 1
+    return held, kappa, rhs
+
+
+def test_held_factor_refactors_past_the_cap(octagon1, factorizations,
+                                            monkeypatch):
+    # CG on a factor of J(0) needs more than one step at another point; past
+    # the cap the system is factored afresh, exactly as solve_linear_spd does
+    m = octagon1
+    held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
+    parts = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2),
+                        m.lengths)
+    J, old = parts.matrix(), held.factor
+    assert solver._preconditioned_cg(J, rhs, old) is not None
+    monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+    assert solver._preconditioned_cg(J, rhs, old) is None
+    d = held.solve(parts, rhs)
+    assert len(factorizations) == 2
+    assert held.factor is parts.factor
+    np.testing.assert_array_equal(d, parts.factor.solve(rhs))
+
+
+def test_held_factor_refactors_on_negative_curvature(octagon1, factorizations):
+    # the indefinite system of test_solve_linear_not_pd: CG's first search
+    # direction has p . J p < 0, and the fresh factor gives no descent
+    m = octagon1
+    held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
+    parts = jacobian_at(m.mesh, kappa, np.zeros(m.mesh.vertex_count), m.lengths)
+    parts.diag = parts.diag - 100.0
+    p = held.factor.solve(rhs)
+    assert p @ (parts.matrix() @ p) < 0
+    with pytest.raises(NotPositiveDefiniteError):
+        held.solve(parts, rhs)
+    assert len(factorizations) == 2
+    assert held.factor is None
+
+
+def test_cg_directions_pass_the_residual_check(octagon1, factorizations,
+                                               monkeypatch):
+    # a CG direction is checked like an LU one: stopped early, it fails
+    m = octagon1
+    held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
+    parts = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2),
+                        m.lengths)
+    monkeypatch.setattr(solver, "CG_RTOL", 1e-4)
+    with pytest.raises(LinearSolveError, match="residual"):
+        held.solve(parts, rhs)
+    assert len(factorizations) == 1
+
+
+def test_newton_falls_back_when_the_held_factor_fails(octagon1, factorizations,
+                                                      monkeypatch):
+    # the second Newton system is made indefinite: CG on the held factor
+    # stops, the refactor raises NotPositiveDefiniteError, and the step falls
+    # back to -K; the next system is factored afresh
+    m = octagon1
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    real_assemble = solver.assemble_jacobian
+    assembled = []
+
+    def indefinite_second(*args):
+        parts = real_assemble(*args)
+        if len(assembled) == 1:
+            parts.diag = parts.diag - 100.0
+        assembled.append(parts)
+        return parts
+
+    monkeypatch.setattr(solver, "assemble_jacobian", indefinite_second)
+    two = newton_solve(m.mesh, kappa, m.lengths, SolveConfig(max_iterations=2))
+    assert two.used_gradient_fallback and len(factorizations) == 2
+    first = newton_solve(m.mesh, kappa, m.lengths, SolveConfig(max_iterations=1))
+    K1 = discrete_curvature(m.mesh, kappa, first.u, m.lengths)
+    np.testing.assert_array_equal(two.u, first.u - two.step_log[1][2] * K1)
+
+    factorizations.clear()
+    assembled.clear()
+    result = newton_solve(m.mesh, kappa, m.lengths)
+    assert result.converged and result.used_gradient_fallback
+    assert len(factorizations) == 3
+
+
+def test_newton_past_the_cap_is_the_reference(octagon1, monkeypatch):
+    # with a cap of one CG step every later system is refactored, so the
+    # iteration is the reference's, bit for bit
+    m = octagon1
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    reference = newton_refactoring_every_step(m.mesh, kappa, m.lengths)
+    monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+    result = newton_solve(m.mesh, kappa, m.lengths)
+    assert result.converged
+    np.testing.assert_array_equal(result.u, reference.u)
+    assert result.step_log == reference.step_log
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_held_factor_matches_refactoring_every_step(octagon_levels, level, seed):
+    m = octagon_levels[level]
+    kappa, u0 = random_feasible_instance(m, np.random.default_rng(seed))
+    cfg = SolveConfig(initial_u=u0)
+    reference = newton_refactoring_every_step(m.mesh, kappa, m.lengths, cfg)
+    result = newton_solve(m.mesh, kappa, m.lengths, cfg)
+    assert reference.converged and result.converged
+    assert result.iterations == reference.iterations
+    assert np.max(np.abs(result.u - reference.u)) <= 1e-12
 
 
 # -- energy -------------------------------------------------------------------
