@@ -3,12 +3,14 @@
 Reports are machine readable ``key = value`` lines on stdout; all numbers
 are printed with 17 significant digits so runs diff byte-for-byte.
 
-Exit codes, all mapped in :func:`main`: 0 success, 2 parse/validation
-error or a file that cannot be read or written, 3 infeasible configuration,
-4 non-convergence (best iterate still written) or a failed linear solve
-(nothing written).  Each of 2, 3 and 4 writes one ``error:`` line to stderr.
-``solve`` and ``flow`` check every output path before they solve, so an
-unwritable one exits 2 with nothing written.
+Each ``cmd_*`` only computes and returns (exit code, report, {path: text}).
+:func:`main` checks every output path before the command reads its inputs,
+so an unwritable one exits 2 with nothing written; then it writes the files
+in order, the report file last, prints the report and maps the exit code:
+0 success, 2 parse/validation error or a file that cannot be read or
+written, 3 infeasible configuration, 4 non-convergence (outputs still
+written; for ``converge``, a level that did not converge) or a failed linear
+solve (nothing written).  2, 3 and 4 write one ``error:`` line to stderr.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -69,7 +71,7 @@ def _write(path: str, text: str) -> None:
 
 def _check_writable(*paths: str | None) -> None:
     """Raise CliError unless every given output path can be opened for
-    writing, so that a command fails before it solves or writes anything.
+    writing, so that a command fails before it reads, solves or writes.
 
     Each path is opened for appending and closed, which changes no file; one
     that did not exist is removed again.
@@ -77,19 +79,16 @@ def _check_writable(*paths: str | None) -> None:
     for path in filter(None, paths):
         existed = os.path.lexists(path)
         try:
-            with open(path, "a"):
-                pass
+            open(path, "a").close()
         except OSError as exc:
             raise CliError(f"cannot write file: {exc}")
         if not existed:
             Path(path).unlink()
 
 
-def _emit(report: dict, path: str | None = None) -> None:
-    sys.stdout.write("".join(f"{k} = {_fmt(v)}\n" for k, v in report.items()))
-    if path:
-        _write(path, "".join(f"{k} = {_fmt(v)}\n" for k, v in report.items()
-                             if k not in _VOLATILE_KEYS))
+def _report_text(report: dict, skip=()) -> str:
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in report.items()
+                   if k not in skip)
 
 
 def _read_mesh(path: str):
@@ -125,9 +124,8 @@ def _config(cls, **fields):
         raise CliError(str(exc))
 
 
-def _write_u(path: str, u: np.ndarray) -> None:
-    lines = [f"u {i} {u[i]:.17g}" for i in range(len(u))]
-    _write(path, "\n".join(lines) + "\n")
+def _u_text(u: np.ndarray) -> str:
+    return "".join(f"u {i} {u[i]:.17g}\n" for i in range(len(u)))
 
 
 def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
@@ -141,11 +139,10 @@ def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict, dict]:
     mesh, lengths = _read_mesh(args.mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(SolveConfig, tolerance=args.tol, max_iterations=args.max_iter)
-    _check_writable(args.out, args.report)
 
     t0 = time.perf_counter()
     result = newton_solve(mesh, kappa, lengths, cfg)
@@ -162,16 +159,14 @@ def cmd_solve(args) -> int:
         "u_inf": float(np.max(np.abs(result.u))),
         "seconds": elapsed,
     })
-    _write_u(args.out, result.u)
-    _emit(report, args.report)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return code, report, {args.out: _u_text(result.u)}
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple[int, dict, dict]:
     mesh, lengths = _read_mesh(args.mesh)
     kappa = _read_kappa(args.kappa, mesh)
     cfg = _config(ContinuationConfig, steps=args.steps, newton_polish=args.polish)
-    _check_writable(args.trace, args.out, args.report)
 
     t0 = time.perf_counter()
     result = continuation_solve(mesh, kappa, lengths,
@@ -188,19 +183,16 @@ def cmd_flow(args) -> int:
         "u_inf": float(np.max(np.abs(result.u))),
         "seconds": elapsed,
     })
-    if args.trace:
-        lines = ["t,residual_inf,linearity_defect"]
-        for t, res, defect in result.checkpoint_log:
-            lines.append(f"{t:.17g},{res:.17g},{defect:.17g}")
-        _write(args.trace, "\n".join(lines) + "\n")
-    _write_u(args.out, result.u)
-    _emit(report, args.report)
-    if args.polish:
-        return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    trace = "t,residual_inf,linearity_defect\n" + "".join(
+        f"{t:.17g},{res:.17g},{defect:.17g}\n"
+        for t, res, defect in result.checkpoint_log)
+    # an unpolished flow never reports converged; its end point is the result
+    code = (EXIT_OK if result.converged or not args.polish
+            else EXIT_NO_CONVERGENCE)
+    return code, report, {args.trace: trace, args.out: _u_text(result.u)}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict, dict]:
     mesh, lengths = _read_mesh(args.mesh)
     topo = validate_topology(mesh)
     kappa = _read_kappa(args.kappa, mesh)
@@ -227,15 +219,13 @@ def cmd_check(args) -> int:
                 mesh, lengths)
         except ValueError as exc:
             raise CliError(str(exc))
-    _emit(report, args.report)
-    return EXIT_OK
+    return EXIT_OK, report, {}
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, dict, dict]:
     if args.refine < 0:
         raise CliError("--refine must be >= 0")
     surface = models.octagon_fixture(args.refine)
-    _write(args.out, dump_mesh(surface.mesh, surface.lengths))
     report = {
         "command": "gen",
         "model": args.model,
@@ -246,23 +236,21 @@ def cmd_gen(args) -> int:
         "max_length": geometry.max_length(surface.lengths),
         "out": args.out,
     }
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report, {args.out: dump_mesh(surface.mesh, surface.lengths)}
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> tuple[int, dict, dict]:
     if not args.kappa.startswith("const:"):
         raise CliError("converge supports only const:<value> curvature")
     value = _const_kappa(args.kappa)
     if args.levels < 1:
         raise CliError("--levels must be >= 1")
     rows = models.convergence_study(args.levels, value)
-    _write(args.out, models.rows_to_csv(rows))
     report = {"command": "converge", "levels": args.levels, "out": args.out}
     for r in rows:
         report[f"level_{r.level}_error_inf"] = r.error_inf
-    _emit(report)
-    return EXIT_OK
+    code = EXIT_OK if all(r.converged for r in rows) else EXIT_NO_CONVERGENCE
+    return code, report, {args.out: models.rows_to_csv(rows)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        _check_writable(*map(vars(args).get, ("trace", "out", "report")))
+        code, report, files = args.func(args)
+        files[vars(args).get("report")] = _report_text(report, _VOLATILE_KEYS)
+        for path, text in files.items():
+            if path:  # None: an optional output that was not asked for
+                _write(path, text)
+        sys.stdout.write(_report_text(report))
         if code != EXIT_NO_CONVERGENCE:
             return code
         message = "no convergence; the best iterate was written"

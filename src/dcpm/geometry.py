@@ -90,8 +90,14 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
     sb = 0.5 * (a - b + c)
     sc = 0.5 * (a + b - c)
     s = 0.5 * (a + b + c)
-    t2 = (np.sinh(sb) * np.sinh(sc)) / (np.sinh(s) * np.sinh(sa))
-    return 2.0 * np.arctan(np.sqrt(np.maximum(t2, 0.0)))
+    sb, sc, s, sa = np.sinh(sb), np.sinh(sc), np.sinh(s), np.sinh(sa)
+    num, den = sb * sc, s * sa
+    # the products underflow on tiny triangles, where the ratios do not
+    tiny = np.minimum(num, den) < np.finfo(float).tiny
+    if tiny.any():
+        num[tiny] = (sb[tiny] / s[tiny]) * (sc[tiny] / sa[tiny])
+        den[tiny] = 1.0
+    return 2.0 * np.arctan(np.sqrt(np.maximum(num / den, 0.0)))
 
 
 def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,

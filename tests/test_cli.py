@@ -259,6 +259,37 @@ def test_unwritable_output_stops_before_solving(tmp_path, mesh_file, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "octagon", "--refine", "1", "--out", "{nowhere}"],
+    ["check", "--mesh", "{mesh}", "--report", "{nowhere}"],
+    ["solve", "--mesh", "{mesh}", "--kappa", "const:-1", "--out", "{nowhere}"],
+    ["flow", "--mesh", "{mesh}", "--kappa", "const:-1", "--steps", "8",
+     "--out", "{tmp}/u", "--report", "{nowhere}"],
+    ["converge", "--levels", "1", "--out", "{nowhere}"],
+], ids=lambda argv: argv[0])
+def test_every_command_checks_outputs_first(tmp_path, mesh_file, capsys,
+                                            monkeypatch, argv):
+    # no command reads, builds or solves anything before its outputs pass
+    import dcpm.cli
+    import dcpm.models
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked despite an unwritable output")
+
+    monkeypatch.setattr(dcpm.cli, "load_mesh", no_work)
+    monkeypatch.setattr(dcpm.models, "octagon_fixture", no_work)
+    monkeypatch.setattr(dcpm.models, "convergence_study", no_work)
+    before = sorted(tmp_path.rglob("*"))
+    paths = {"mesh": mesh_file, "tmp": str(tmp_path),
+             "nowhere": str(tmp_path / "missing" / "x")}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write file: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture
 def topology_calls(monkeypatch):
     """List that grows by one per ``validate_topology`` call."""
@@ -310,6 +341,43 @@ def test_failed_linear_solve_exits_4(tmp_path, mesh_file, capsys, kappa):
     err = capsys.readouterr().err
     assert err.startswith("error: linear solve failed") and err.count("\n") == 1
     assert not out.exists()
+
+
+TINY_KAPPAS = ["const:-1e-160", "const:-1e-200", "const:-1e-300"]
+
+
+@pytest.mark.parametrize("kappa", TINY_KAPPAS)
+def test_cli_contract_at_tiny_curvature(tmp_path, mesh_file, kappa):
+    # tiny model lengths underflow the half-angle products: no NaN may reach
+    # a report, and every failure is one error line
+    out = str(tmp_path / "out")
+    assert_cli_contract(["check", "--mesh", mesh_file, "--kappa", kappa])
+    assert_cli_contract(["solve", "--mesh", mesh_file, "--kappa", kappa,
+                         "--out", out])
+    assert_cli_contract(["flow", "--mesh", mesh_file, "--kappa", kappa,
+                         "--steps", "8", "--out", out])
+    assert_cli_contract(["converge", "--levels", "1", "--kappa", kappa,
+                         "--out", out])
+
+
+@pytest.mark.parametrize("kappa", TINY_KAPPAS)
+def test_tiny_curvature_check_and_solves(tmp_path, mesh_file, kappa):
+    # check sees the Euclidean-limit margin; the solves fail on the nearly
+    # singular Newton system (-Delta as kappa -> 0) with exit 4
+    code, out, err = run_cli(["check", "--mesh", mesh_file, "--kappa", kappa])
+    assert (code, err) == (EXIT_OK, "")
+    report = parse_report(out)
+    assert report["feasible"] == "True"
+    assert abs(float(report["acuteness_margin"])
+               - -0.13597394722258627) <= 1e-12
+    out_path = str(tmp_path / "out")
+    for argv in (["solve", "--mesh", mesh_file],
+                 ["flow", "--mesh", mesh_file, "--steps", "8"],
+                 ["converge", "--levels", "1"]):
+        code, out, err = run_cli(argv + ["--kappa", kappa, "--out", out_path])
+        assert code == EXIT_NO_CONVERGENCE, (argv[0], err)
+        assert err.startswith("error: linear solve failed") and err.count("\n") == 1
+        assert out == ""
 
 
 def test_overflowing_model_length_is_infeasible(tmp_path, octagon1, capsys):
@@ -440,6 +508,27 @@ def test_converge_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "level,max_len,margin,iters,residual,error_inf"
     assert len(lines) == 3
+
+
+def test_converge_non_convergence_exits_4(tmp_path, capsys, monkeypatch):
+    # a level that does not converge fails the study; the CSV and the
+    # report are still written, as for solve
+    import dcpm.models
+    from dcpm.solver import SolveConfig, newton_solve
+
+    def one_step(mesh, kappa, lengths):
+        return newton_solve(mesh, kappa, lengths,
+                            SolveConfig(max_iterations=1, tolerance=1e-30))
+
+    monkeypatch.setattr(dcpm.models, "newton_solve", one_step)
+    out = tmp_path / "study.csv"
+    assert main(["converge", "--levels", "2",
+                 "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no convergence")
+    assert captured.err.count("\n") == 1
+    assert parse_report(captured.out)["levels"] == "2"
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_converge_rejects_positive_kappa(tmp_path):

@@ -106,6 +106,22 @@ def test_euclidean_limit_angles():
     np.testing.assert_allclose(ang, np.pi / 3, atol=1e-8)
 
 
+@pytest.mark.parametrize("eps", [1e-100, 1e-160, 1e-200, 1e-300])
+def test_tiny_triangle_angles(eps):
+    # the sinh products of the half-angle form underflow on tiny sides; the
+    # angles must still be the Euclidean ones of the same shape
+    H = np.array([0.7, 0.9, 1.1])
+    ang = triangle_angles(eps * H)
+    np.testing.assert_allclose(ang, triangle_angles(1e-100 * H), rtol=0, atol=1e-12)
+    a, b, c = np.roll(H, -1), H, np.roll(H, 1)   # slot s is opposite side s+1
+    np.testing.assert_allclose(ang, np.arccos((b * b + c * c - a * a) / (2 * b * c)),
+                               rtol=0, atol=1e-12)
+    # a tiny row beside a normal one leaves the normal row's bits alone
+    mixed = triangle_angles(np.stack([H, eps * H]))
+    assert np.array_equal(mixed[0], triangle_angles(H))
+    assert np.array_equal(mixed[1], ang)
+
+
 def test_infeasible_triangle():
     with pytest.raises(InfeasibleFaceError):
         triangle_angles(np.array([2.2, 1.0, 1.0]))
