@@ -6,7 +6,7 @@ from .calculus import (EllipticReport, Graph, divergence, elliptic_estimate_chec
 from .geometry import (InfeasibleFaceError, acuteness_margin, constant_curvature_edge_length,
                        corner_angles, discrete_curvature, gauss_bonnet_residual,
                        max_length, model_length, scale_lengths)
-from .jacobian import (CotangentSingularityError, JacobianParts, assemble_jacobian,
+from .jacobian import (CotangentSingularityError, assemble_jacobian, jacobian_weights,
                        lambda_factor, tilde_theta)
 from .mesh import (MeshError, SurfaceMesh, TopologyReport, dump_mesh,
                    load_face_curvature, load_mesh, validate_topology)

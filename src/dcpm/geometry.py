@@ -42,7 +42,8 @@ def scale_lengths(mesh: SurfaceMesh, u: np.ndarray,
     A loop edge (a == b) picks up exp(u_a), the consistent specialization.
     """
     a, b = mesh.edges[:, 0], mesh.edges[:, 1]
-    return np.exp(0.5 * (u[a] + u[b])) * lengths
+    with np.errstate(over="ignore"):  # length inf, which infeasible_slots flags
+        return np.exp(0.5 * (u[a] + u[b])) * lengths
 
 
 def constant_curvature_edge_length(kappa, length):

@@ -4,14 +4,15 @@ Edge weights and diagonal are assembled per face from half-angle cotangents
 and the lambda factors; the result is the true Jacobian of
 :func:`dcpm.geometry.discrete_curvature` (checked by finite differences in
 the test suite).  Assembly reads the scaled lengths and corner angles that
-the caller already evaluated at u; it computes no angle itself.  The sparse
-matrix is filled into a per-mesh pattern, :class:`JacobianPlan`, built on
-first use and cached on the mesh.
+the caller already evaluated at u; it computes no angle itself.  The
+Jacobian has one representation, the CSC matrix that
+:func:`assemble_jacobian` returns, filled into a per-mesh pattern,
+:class:`JacobianPlan`, built on first use and cached on the mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,7 +21,6 @@ from .mesh import SurfaceMesh
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-    from scipy.sparse.linalg import SuperLU
 
 COT_SINGULARITY_TOL = 1e-12
 
@@ -90,36 +90,9 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
     return plan
 
 
-@dataclass
-class JacobianParts:
-    """Pieces of dK/du = D - Delta_eta for one configuration.
-
-    ``eta`` is per edge (summed over the two incident faces) and ``diag`` per
-    vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
-    ``factor`` is the sparse LU of :meth:`matrix` once
-    ``solver.solve_linear_spd`` has factored it.
-    """
-
-    mesh: SurfaceMesh
-    eta: np.ndarray
-    diag: np.ndarray
-    factor: SuperLU | None = field(default=None, repr=False)
-
-    def matrix(self) -> sp.csc_matrix:
-        """Sparse Jacobian D - Delta_eta, filled into the mesh's plan."""
-        import scipy.sparse as sp
-
-        plan = jacobian_plan(self.mesh)
-        w = self.eta[plan.keep]
-        values = np.concatenate([-w, -w, w, w, self.diag])
-        data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
-        n = self.mesh.vertex_count
-        return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
-
-
-def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
-                      angles: np.ndarray) -> JacobianParts:
-    """Assemble eta(u) and D(u) from the scaled lengths and corner angles at u.
+def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
+                     angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge weights eta and diagonal D at u, from its scaled lengths and angles.
 
     ``scaled`` is ``geometry.scale_lengths(mesh, u, lengths)`` and ``angles``
     is ``geometry.corner_angles(mesh, kappa, scaled)``.  Per face and edge
@@ -128,7 +101,9 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     to the diagonal at each endpoint of the edge.  Accumulation runs in
     ascending face id order, so assembly is deterministic.  For a loop edge
     both endpoint contributions land on the same diagonal entry, which is the
-    correct specialization of the derivative.
+    correct specialization of the derivative.  ``eta`` is per edge (summed
+    over the two incident faces) and ``diag`` per vertex;
+    ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
     """
     tilde = tilde_theta(angles)
     singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
@@ -150,5 +125,22 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     edge_ends = mesh.edges[mesh.face_edges.ravel()]
     diag = np.bincount(edge_ends.T.ravel(), weights=np.tile(dcontrib, 2),
                        minlength=mesh.vertex_count)
+    return eta, diag
 
-    return JacobianParts(mesh=mesh, eta=eta, diag=diag)
+
+def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
+                      angles: np.ndarray) -> sp.csc_matrix:
+    """Sparse Jacobian D - Delta_eta at u, filled into the mesh's plan.
+
+    The arguments are those of :func:`jacobian_weights`, which gives the
+    values.
+    """
+    import scipy.sparse as sp
+
+    eta, diag = jacobian_weights(mesh, kappa, scaled, angles)
+    plan = jacobian_plan(mesh)
+    w = eta[plan.keep]
+    values = np.concatenate([-w, -w, w, w, diag])
+    data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
+    n = mesh.vertex_count
+    return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))

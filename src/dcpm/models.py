@@ -201,9 +201,10 @@ CSV_HEADER = "level,max_len,margin,iters,residual,error_inf"
 def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
     """Solve on octagon refinements 0..levels-1 and tabulate errors.
 
-    For constant kappa = -1 the smooth reference factor is identically zero,
-    so error_inf is just the sup norm of the computed u; for other constants
-    no reference is known and error_inf is NaN.
+    The problem is invariant under u -> u + c with kappa -> kappa * e^{-c},
+    and for kappa = -1 the smooth reference factor is identically zero, so
+    the reference for a constant kappa is -log(-kappa): error_inf is
+    max|u + log(-kappa)|.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -214,8 +215,7 @@ def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
         margin = geometry.acuteness_margin(
             geometry.corner_angles(m.mesh, kappa, m.lengths))
         result = newton_solve(m.mesh, kappa, m.lengths)
-        error = (float(np.max(np.abs(result.u))) if kappa_value == -1.0
-                 else float("nan"))
+        error = float(np.max(np.abs(result.u + math.log(-kappa_value))))
         rows.append(StudyRow(level=level,
                              max_len=geometry.max_length(m.lengths),
                              margin=margin,

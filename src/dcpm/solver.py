@@ -1,8 +1,10 @@
 """Solvers for K(u) = 0: damped Newton iteration and a continuation ODE.
 
-The Newton step solves (D - Delta_eta) d = -K.  Each solve call factors its
-first CSC Jacobian by sparse LU (``splu`` with a symmetric minimum-degree
-ordering) and holds that factor: every later system of the call is solved
+The Newton step solves (D - Delta_eta) d = -K, with the CSC Jacobian of
+:func:`dcpm.jacobian.assemble_jacobian`.  Each solve call factors its first
+Jacobian by sparse LU (``splu`` with a symmetric minimum-degree ordering;
+:func:`solve_linear_spd` returns the factor with the direction) and holds
+that factor, in the call's own ``_HeldFactor``: every later system is solved
 by conjugate gradients preconditioned with it, since the Jacobian moves
 little between steps.  CG that does not converge within
 ``CG_MAX_ITERATIONS`` or meets a direction of non-positive curvature drops
@@ -33,7 +35,7 @@ import numpy as np
 
 from .geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
                        curvature_from_angles, discrete_curvature, scale_lengths)
-from .jacobian import CotangentSingularityError, JacobianParts, assemble_jacobian
+from .jacobian import CotangentSingularityError, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
 # Steps may pass through non-acute configurations, but not near-degenerate
@@ -142,23 +144,21 @@ def _checked_direction(J, rhs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_linear_spd(parts: JacobianParts, rhs: np.ndarray) -> np.ndarray:
-    """Solve (D - Delta_eta) d = rhs by a fresh sparse LU of the CSC Jacobian.
+def solve_linear_spd(J, rhs: np.ndarray):
+    """Solve J d = rhs, J = D - Delta_eta in CSC form, by a fresh sparse LU.
 
-    The LU orders rows and columns alike, by minimum degree on J + J^T, and
-    is kept as ``parts.factor``.  Raises :class:`NotPositiveDefiniteError`
-    when the factor is exactly singular, and otherwise whatever
-    :func:`_checked_direction` raises.
+    Returns ``(d, lu)``: the checked solution and the ``SuperLU`` factor,
+    which orders rows and columns alike, by minimum degree on J + J^T.
+    Raises :class:`NotPositiveDefiniteError` when the factor is exactly
+    singular, and otherwise whatever :func:`_checked_direction` raises.
     """
     from scipy.sparse.linalg import splu
 
-    J = parts.matrix()
     try:
-        parts.factor = splu(J, permc_spec="MMD_AT_PLUS_A",
-                            options={"SymmetricMode": True})
+        lu = splu(J, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
-    return _checked_direction(J, rhs, parts.factor.solve(rhs))
+    return _checked_direction(J, rhs, lu.solve(rhs)), lu
 
 
 def _preconditioned_cg(J, rhs: np.ndarray, factor,
@@ -205,16 +205,14 @@ class _HeldFactor:
     def __init__(self):
         self.factor = None
 
-    def solve(self, parts: JacobianParts, rhs: np.ndarray,
+    def solve(self, J, rhs: np.ndarray,
               guess: np.ndarray | None = None) -> np.ndarray:
         if self.factor is not None:
-            J = parts.matrix()
             d = _preconditioned_cg(J, rhs, self.factor, guess)
             if d is not None:
                 return _checked_direction(J, rhs, d)
             self.factor = None
-        d = solve_linear_spd(parts, rhs)
-        self.factor = parts.factor
+        d, self.factor = solve_linear_spd(J, rhs)
         return d
 
 

@@ -75,14 +75,25 @@ def random_feasible_instance(m, rng, kappa_range=(-2.0, -0.5), u_scale=0.1):
     return kappa, u
 
 
-def jacobian_at(mesh, kappa, u, lengths):
-    """``assemble_jacobian`` at the point u, from one angle evaluation."""
+def _at(assemble, mesh, kappa, u, lengths):
     from dcpm.geometry import corner_angles, scale_lengths
-    from dcpm.jacobian import assemble_jacobian
 
     scaled = scale_lengths(mesh, u, lengths)
-    return assemble_jacobian(mesh, kappa, scaled,
-                             corner_angles(mesh, kappa, scaled))
+    return assemble(mesh, kappa, scaled, corner_angles(mesh, kappa, scaled))
+
+
+def jacobian_at(mesh, kappa, u, lengths):
+    """``assemble_jacobian``, the CSC J, at u from one angle evaluation."""
+    from dcpm.jacobian import assemble_jacobian
+
+    return _at(assemble_jacobian, mesh, kappa, u, lengths)
+
+
+def weights_at(mesh, kappa, u, lengths):
+    """``jacobian_weights``, (eta, diag), at u from one angle evaluation."""
+    from dcpm.jacobian import jacobian_weights
+
+    return _at(jacobian_weights, mesh, kappa, u, lengths)
 
 
 def fd_jacobian(mesh, kappa, u, lengths, h=1e-6):

@@ -21,7 +21,7 @@ from dcpm.models import convergence_study, octagon_fixture
 from dcpm.solver import (ContinuationConfig, SolveConfig, continuation_solve,
                          newton_solve)
 
-from conftest import fd_jacobian, jacobian_at, random_feasible_instance
+from conftest import fd_jacobian, jacobian_at, random_feasible_instance, weights_at
 from test_calculus import is_connected, oracle_isoperimetric, random_graph
 
 
@@ -40,7 +40,7 @@ def test_01_jacobian_matches_finite_differences(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(7):
             kappa, u = random_feasible_instance(m, rng)
-            J = jacobian_at(m.mesh, kappa, u, m.lengths).matrix().toarray()
+            J = jacobian_at(m.mesh, kappa, u, m.lengths).toarray()
             J_fd = fd_jacobian(m.mesh, kappa, u, m.lengths, h=1e-6)
             worst = max(worst, np.max(np.abs(J - J_fd)) / np.max(np.abs(J)))
             count += 1
@@ -57,12 +57,12 @@ def test_02_jacobian_structure(octagon_levels, capsys):
         m = octagon_levels[level]
         for _ in range(5):
             kappa, u = random_feasible_instance(m, rng)
-            parts = jacobian_at(m.mesh, kappa, u, m.lengths)
-            J = parts.matrix().toarray()
+            J = jacobian_at(m.mesh, kappa, u, m.lengths).toarray()
             ok = ok and np.max(np.abs(J - J.T)) <= 1e-12
             # rows sum to zero exactly when summed the way assembly does:
             # off-diagonal row sums plus the (negated) diagonal
-            L = laplacian_matrix(m.mesh, parts.eta)
+            eta, _ = weights_at(m.mesh, kappa, u, m.lengths)
+            L = laplacian_matrix(m.mesh, eta)
             import scipy.sparse as sp
             off = L - sp.diags(L.diagonal())
             row = np.asarray(off.sum(axis=1)).ravel() + L.diagonal()
@@ -76,9 +76,8 @@ def test_02_jacobian_structure(octagon_levels, capsys):
         kappa = np.full(m.mesh.face_count, -1.0)
         ok = ok and m.mesh.vertex_count <= 200
         ok = ok and acuteness_margin(corner_angles(m.mesh, kappa, lengths)) >= 0.05
-        parts = jacobian_at(m.mesh, kappa,
-                            np.zeros(m.mesh.vertex_count), lengths)
-        ok = ok and np.linalg.eigvalsh(parts.matrix().toarray()).min() > 0.0
+        J = jacobian_at(m.mesh, kappa, np.zeros(m.mesh.vertex_count), lengths)
+        ok = ok and np.linalg.eigvalsh(J.toarray()).min() > 0.0
     report(capsys, "criterion 2 jacobian structure", ok)
 
 

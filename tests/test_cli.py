@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,3 +611,17 @@ def test_cli_contract_on_mutated_curvature(octagon1, data):
         assert_cli_contract(["check", "--mesh", mesh_path, "--kappa", kappa_path])
         assert_cli_contract(["solve", "--mesh", mesh_path, "--kappa", kappa_path,
                              "--max-iter", "20", "--out", os.path.join(tmp, "u")])
+
+
+def test_cli_contract_with_warnings_as_errors(tmp_path, octagon0):
+    # at kappa = -1e-2 a Newton trial point on the level-0 mesh overflows the
+    # scaled lengths; the line search rejects it without a warning, and
+    # converge measures its error against -log(-kappa), never nan
+    mesh_path = tmp_path / "octagon0.mesh"
+    mesh_path.write_text(dump_mesh(octagon0.mesh, octagon0.lengths))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_cli_contract(["solve", "--mesh", str(mesh_path), "--kappa",
+                             "const:-1e-2", "--out", str(tmp_path / "u")])
+        assert_cli_contract(["converge", "--levels", "1", "--kappa", "const:-1e-2",
+                             "--out", str(tmp_path / "converge.csv")])

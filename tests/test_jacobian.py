@@ -6,7 +6,7 @@ from dcpm.geometry import model_length, triangle_angles
 from dcpm.jacobian import (CotangentSingularityError, jacobian_plan,
                            lambda_factor, tilde_theta)
 
-from conftest import fd_jacobian, jacobian_at, random_feasible_instance
+from conftest import fd_jacobian, jacobian_at, random_feasible_instance, weights_at
 
 # frozen oracle values for the equilateral H = 1 triangle
 EQUILATERAL_H1_ANGLE = 0.91879787217802737
@@ -45,8 +45,7 @@ def test_lambda_factor_identity():
 def test_jacobian_symmetric_exactly(octagon1):
     rng = np.random.default_rng(2)
     kappa, u = random_feasible_instance(octagon1, rng)
-    J = jacobian_at(octagon1.mesh, kappa, u,
-                    octagon1.lengths).matrix().toarray()
+    J = jacobian_at(octagon1.mesh, kappa, u, octagon1.lengths).toarray()
     assert np.array_equal(J, J.T)
 
 
@@ -63,7 +62,7 @@ def test_jacobian_symmetric_exactly_reversed_parallel_edges(octagon0):
     rng = np.random.default_rng(5)
     for _ in range(20):
         kappa, u = random_feasible_instance(octagon0, rng)
-        J = jacobian_at(mesh, kappa, u, octagon0.lengths).matrix()
+        J = jacobian_at(mesh, kappa, u, octagon0.lengths)
         assert (J != J.T).nnz == 0
 
 
@@ -73,7 +72,7 @@ def test_jacobian_matches_finite_differences(octagon_levels, level):
     rng = np.random.default_rng(10 + level)
     for _ in range(3):
         kappa, u = random_feasible_instance(m, rng)
-        J = jacobian_at(m.mesh, kappa, u, m.lengths).matrix().toarray()
+        J = jacobian_at(m.mesh, kappa, u, m.lengths).toarray()
         J_fd = fd_jacobian(m.mesh, kappa, u, m.lengths)
         scale = np.max(np.abs(J))
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * scale
@@ -84,13 +83,13 @@ def test_jacobian_loops_hit_diagonal(octagon0):
     # add nothing to the Laplacian; verified against finite differences
     kappa = np.full(8, -1.0)
     u = np.array([0.02, -0.01])
-    parts = jacobian_at(octagon0.mesh, kappa, u, octagon0.lengths)
-    J = parts.matrix().toarray()
+    J = jacobian_at(octagon0.mesh, kappa, u, octagon0.lengths).toarray()
     J_fd = fd_jacobian(octagon0.mesh, kappa, u, octagon0.lengths)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
-    L = laplacian_matrix(octagon0.mesh, parts.eta).toarray()
+    eta, _ = weights_at(octagon0.mesh, kappa, u, octagon0.lengths)
+    L = laplacian_matrix(octagon0.mesh, eta).toarray()
     # only the 8 spoke edges couple the two vertices
-    assert L[0, 1] == pytest.approx(parts.eta[:8].sum(), rel=1e-15)
+    assert L[0, 1] == pytest.approx(eta[:8].sum(), rel=1e-15)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -99,21 +98,20 @@ def test_jacobian_plan_cached_and_matches_dense(octagon_levels, level):
     m = octagon_levels[level]
     rng = np.random.default_rng(20 + level)
     kappa, u = random_feasible_instance(m, rng)
-    parts = jacobian_at(m.mesh, kappa, u, m.lengths)
-    J = parts.matrix()
-    J_other = jacobian_at(m.mesh, kappa, 0.5 * u, m.lengths).matrix()
+    J = jacobian_at(m.mesh, kappa, u, m.lengths)
+    J_other = jacobian_at(m.mesh, kappa, 0.5 * u, m.lengths)
     assert J.format == "csc"
     assert jacobian_plan(m.mesh) is jacobian_plan(m.mesh)
     assert np.shares_memory(J.indices, J_other.indices)
-    ref = -laplacian_matrix(m.mesh, parts.eta).toarray() + np.diag(parts.diag)
+    eta, diag = weights_at(m.mesh, kappa, u, m.lengths)
+    ref = -laplacian_matrix(m.mesh, eta).toarray() + np.diag(diag)
     assert np.max(np.abs(J.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_jacobian_positive_definite_acute(octagon0):
     kappa = np.full(8, -1.0)
     u = np.zeros(2)
-    J = jacobian_at(octagon0.mesh, kappa, u,
-                    octagon0.lengths).matrix().toarray()
+    J = jacobian_at(octagon0.mesh, kappa, u, octagon0.lengths).toarray()
     assert np.linalg.eigvalsh(J).min() > 0
 
 
@@ -121,8 +119,8 @@ def test_diag_positive_on_feasible(octagon1):
     rng = np.random.default_rng(3)
     for _ in range(10):
         kappa, u = random_feasible_instance(octagon1, rng)
-        parts = jacobian_at(octagon1.mesh, kappa, u, octagon1.lengths)
-        assert (parts.diag > 0).all()
+        _, diag = weights_at(octagon1.mesh, kappa, u, octagon1.lengths)
+        assert (diag > 0).all()
 
 
 def test_cotangent_singularity_raised(monkeypatch):
@@ -143,6 +141,6 @@ def test_jacobian_row_sums_equal_diag_weighted(octagon1):
     # row sums of D - Delta equal D's diagonal since Laplacian rows vanish
     rng = np.random.default_rng(4)
     kappa, u = random_feasible_instance(octagon1, rng)
-    parts = jacobian_at(octagon1.mesh, kappa, u, octagon1.lengths)
-    J = parts.matrix().toarray()
-    np.testing.assert_allclose(J.sum(axis=1), parts.diag, atol=1e-13)
+    J = jacobian_at(octagon1.mesh, kappa, u, octagon1.lengths).toarray()
+    _, diag = weights_at(octagon1.mesh, kappa, u, octagon1.lengths)
+    np.testing.assert_allclose(J.sum(axis=1), diag, atol=1e-13)

@@ -166,10 +166,15 @@ def test_convergence_study_levels():
     assert rows[2].error_inf < rows[1].error_inf < rows[0].error_inf
 
 
-def test_convergence_study_non_reference_kappa():
+def test_convergence_study_scaled_kappa_matches_reference():
+    # u*(-1.5) = u*(-1) - log(1.5), so measured against -log(-kappa) the
+    # error of each level is the kappa = -1 error
+    reference = convergence_study(2)
     rows = convergence_study(2, kappa_value=-1.5)
-    assert all(math.isnan(r.error_inf) for r in rows)
     assert all(r.converged for r in rows)
+    for row, ref in zip(rows, reference, strict=True):
+        assert math.isfinite(row.error_inf)
+        assert abs(row.error_inf - ref.error_inf) <= 1e-9
 
 
 def test_rows_to_csv_shape():

@@ -17,6 +17,13 @@ def kappa_const(m, value=-1.0):
     return np.full(m.mesh.face_count, value)
 
 
+def shifted(J, c):
+    """J + c I, in CSC form like the Jacobian it shifts."""
+    import scipy.sparse as sp
+
+    return J + c * sp.identity(J.shape[0], format="csc")
+
+
 # -- input validation ---------------------------------------------------------
 
 def test_rejects_low_genus():
@@ -103,21 +110,20 @@ def test_config_validation():
 
 def test_solve_linear_spd_roundtrip(octagon1):
     rng = np.random.default_rng(0)
-    parts = jacobian_at(octagon1.mesh, kappa_const(octagon1),
-                        np.zeros(octagon1.mesh.vertex_count),
-                        octagon1.lengths)
+    J = jacobian_at(octagon1.mesh, kappa_const(octagon1),
+                    np.zeros(octagon1.mesh.vertex_count), octagon1.lengths)
     rhs = rng.normal(size=octagon1.mesh.vertex_count)
-    d = solve_linear_spd(parts, rhs)
-    np.testing.assert_allclose(parts.matrix().toarray() @ d, rhs, atol=1e-11)
+    d, lu = solve_linear_spd(J, rhs)
+    np.testing.assert_allclose(J.toarray() @ d, rhs, atol=1e-11)
+    np.testing.assert_array_equal(d, lu.solve(rhs))
 
 
 def test_solve_linear_not_pd(octagon1):
-    parts = jacobian_at(octagon1.mesh, kappa_const(octagon1),
-                        np.zeros(octagon1.mesh.vertex_count),
-                        octagon1.lengths)
-    parts.diag = parts.diag - 100.0          # force indefiniteness
+    J = jacobian_at(octagon1.mesh, kappa_const(octagon1),
+                    np.zeros(octagon1.mesh.vertex_count), octagon1.lengths)
+    J = shifted(J, -100.0)                   # force indefiniteness
     with pytest.raises(NotPositiveDefiniteError):
-        solve_linear_spd(parts, np.ones(octagon1.mesh.vertex_count))
+        solve_linear_spd(J, np.ones(octagon1.mesh.vertex_count))
     assert issubclass(NotPositiveDefiniteError, LinearSolveError)
 
 
@@ -201,11 +207,11 @@ def test_newton_gradient_fallback(octagon1, monkeypatch):
     real_solve = solver.solve_linear_spd
     calls = []
 
-    def fail_first(parts, rhs):
+    def fail_first(J, rhs):
         calls.append(len(calls))
         if len(calls) == 1:
             raise NotPositiveDefiniteError("forced")
-        return real_solve(parts, rhs)
+        return real_solve(J, rhs)
 
     monkeypatch.setattr(solver, "solve_linear_spd", fail_first)
     K0 = discrete_curvature(m.mesh, kappa, np.zeros(m.mesh.vertex_count),
@@ -324,9 +330,9 @@ def factorizations(monkeypatch):
     calls = []
     real_solve = solver.solve_linear_spd
 
-    def counted(parts, rhs):
+    def counted(J, rhs):
         calls.append(1)
-        return real_solve(parts, rhs)
+        return real_solve(J, rhs)
 
     monkeypatch.setattr(solver, "solve_linear_spd", counted)
     return calls
@@ -336,8 +342,8 @@ def newton_refactoring_every_step(mesh, kappa, lengths, cfg=None):
     """Reference: ``newton_solve`` with every direction from a fresh factor."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver._HeldFactor, "solve",
-                   lambda self, parts, rhs, guess=None:
-                   solver.solve_linear_spd(parts, rhs))
+                   lambda self, J, rhs, guess=None:
+                   solver.solve_linear_spd(J, rhs)[0])
         return newton_solve(mesh, kappa, lengths, cfg)
 
 
@@ -379,11 +385,12 @@ def test_continuation_hands_its_factor_to_the_polish(octagon1, factorizations):
 def _held_on(m, u, factorizations):
     """A held factor of the Jacobian at u, and the system it was made from."""
     kappa = models.dual_distance_kappa(m.mesh, 0.5)
-    parts = jacobian_at(m.mesh, kappa, u, m.lengths)
+    J = jacobian_at(m.mesh, kappa, u, m.lengths)
     held = solver._HeldFactor()
     rhs = np.ones(m.mesh.vertex_count)
-    held.solve(parts, rhs)
-    assert held.factor is parts.factor is not None and len(factorizations) == 1
+    d = held.solve(J, rhs)
+    assert held.factor is not None and len(factorizations) == 1
+    np.testing.assert_array_equal(d, held.factor.solve(rhs))
     return held, kappa, rhs
 
 
@@ -393,16 +400,16 @@ def test_held_factor_refactors_past_the_cap(octagon1, factorizations,
     # the cap the system is factored afresh, exactly as solve_linear_spd does
     m = octagon1
     held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
-    parts = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2),
-                        m.lengths)
-    J, old = parts.matrix(), held.factor
+    J = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2), m.lengths)
+    old = held.factor
     assert solver._preconditioned_cg(J, rhs, old) is not None
     monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
     assert solver._preconditioned_cg(J, rhs, old) is None
-    d = held.solve(parts, rhs)
+    d = held.solve(J, rhs)
     assert len(factorizations) == 2
-    assert held.factor is parts.factor
-    np.testing.assert_array_equal(d, parts.factor.solve(rhs))
+    assert held.factor is not None and held.factor is not old
+    np.testing.assert_array_equal(d, held.factor.solve(rhs))
+    np.testing.assert_array_equal(d, solve_linear_spd(J, rhs)[0])
 
 
 def test_held_factor_refactors_on_negative_curvature(octagon1, factorizations):
@@ -410,12 +417,12 @@ def test_held_factor_refactors_on_negative_curvature(octagon1, factorizations):
     # direction has p . J p < 0, and the fresh factor gives no descent
     m = octagon1
     held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
-    parts = jacobian_at(m.mesh, kappa, np.zeros(m.mesh.vertex_count), m.lengths)
-    parts.diag = parts.diag - 100.0
+    J = shifted(jacobian_at(m.mesh, kappa, np.zeros(m.mesh.vertex_count),
+                            m.lengths), -100.0)
     p = held.factor.solve(rhs)
-    assert p @ (parts.matrix() @ p) < 0
+    assert p @ (J @ p) < 0
     with pytest.raises(NotPositiveDefiniteError):
-        held.solve(parts, rhs)
+        held.solve(J, rhs)
     assert len(factorizations) == 2
     assert held.factor is None
 
@@ -425,11 +432,10 @@ def test_cg_directions_pass_the_residual_check(octagon1, factorizations,
     # a CG direction is checked like an LU one: stopped early, it fails
     m = octagon1
     held, kappa, rhs = _held_on(m, np.zeros(m.mesh.vertex_count), factorizations)
-    parts = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2),
-                        m.lengths)
+    J = jacobian_at(m.mesh, kappa, np.full(m.mesh.vertex_count, 0.2), m.lengths)
     monkeypatch.setattr(solver, "CG_RTOL", 1e-4)
     with pytest.raises(LinearSolveError, match="residual"):
-        held.solve(parts, rhs)
+        held.solve(J, rhs)
     assert len(factorizations) == 1
 
 
@@ -444,11 +450,11 @@ def test_newton_falls_back_when_the_held_factor_fails(octagon1, factorizations,
     assembled = []
 
     def indefinite_second(*args):
-        parts = real_assemble(*args)
+        J = real_assemble(*args)
         if len(assembled) == 1:
-            parts.diag = parts.diag - 100.0
-        assembled.append(parts)
-        return parts
+            J = shifted(J, -100.0)
+        assembled.append(J)
+        return J
 
     monkeypatch.setattr(solver, "assemble_jacobian", indefinite_second)
     two = newton_solve(m.mesh, kappa, m.lengths, SolveConfig(max_iterations=2))
@@ -488,6 +494,22 @@ def test_held_factor_matches_refactoring_every_step(octagon_levels, level, seed)
     assert reference.converged and result.converged
     assert result.iterations == reference.iterations
     assert np.max(np.abs(result.u - reference.u)) <= 1e-12
+
+
+# -- scaling covariance -------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+def test_newton_scaling_covariance(octagon_levels, level, seed, c):
+    # K depends on kappa and u only through kappa * exp(u) on each length, so
+    # u*(kappa * e^-c) = u*(kappa) + c; converge measures error_inf against it
+    m = octagon_levels[level]
+    kappa, u0 = random_feasible_instance(m, np.random.default_rng(seed))
+    cfg = SolveConfig(initial_u=u0)
+    base = newton_solve(m.mesh, kappa, m.lengths, cfg)
+    scaled = newton_solve(m.mesh, kappa * np.exp(-c), m.lengths, cfg)
+    assert base.converged and scaled.converged
+    assert np.max(np.abs(scaled.u - (base.u + c))) <= 1e-8
 
 
 # -- energy -------------------------------------------------------------------
