@@ -117,9 +117,10 @@ def _read_kappa(spec: str, mesh: SurfaceMesh) -> np.ndarray:
         raise CliError(f"invalid curvature file: {exc}")
 
 
-def _config(cls, **fields):
+def _config(make, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError, an argument check, is CliError."""
     try:
-        return cls(**fields)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -214,18 +215,13 @@ def cmd_check(args) -> tuple[int, dict, dict]:
     except InfeasibleFaceError:
         report["feasible"] = False
     if args.isoperimetric:
-        try:
-            report["isoperimetric_constant"] = isoperimetric_constant(
-                mesh, lengths)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        report["isoperimetric_constant"] = _config(isoperimetric_constant,
+                                                   mesh, lengths)
     return EXIT_OK, report, {}
 
 
 def cmd_gen(args) -> tuple[int, dict, dict]:
-    if args.refine < 0:
-        raise CliError("--refine must be >= 0")
-    surface = models.octagon_fixture(args.refine)
+    surface = _config(models.octagon_fixture, args.refine)
     report = {
         "command": "gen",
         "model": args.model,
@@ -242,10 +238,8 @@ def cmd_gen(args) -> tuple[int, dict, dict]:
 def cmd_converge(args) -> tuple[int, dict, dict]:
     if not args.kappa.startswith("const:"):
         raise CliError("converge supports only const:<value> curvature")
-    value = _const_kappa(args.kappa)
-    if args.levels < 1:
-        raise CliError("--levels must be >= 1")
-    rows = models.convergence_study(args.levels, value)
+    rows = _config(models.convergence_study, args.levels,
+                   _const_kappa(args.kappa))
     report = {"command": "converge", "levels": args.levels, "out": args.out}
     for r in rows:
         report[f"level_{r.level}_error_inf"] = r.error_inf

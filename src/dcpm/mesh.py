@@ -128,15 +128,10 @@ class SurfaceMesh:
 class TopologyReport:
     """Result of :func:`validate_topology`."""
 
-    chi: int
-    genus: int
     is_simplicial: bool
     max_vertex_degree: int
     violations: list[str]
-
-    @property
-    def solver_eligible(self) -> bool:
-        return not self.violations and self.genus >= 2
+    solver_eligible: bool  # no violations and genus >= 2
 
 
 def _records(text: str):
@@ -282,11 +277,11 @@ def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
 
 
 def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
-    """Report Euler characteristic, genus, simpliciality and defects.
+    """Report simpliciality, defects and solver eligibility.
 
     Defects (wrong orientation, disconnectedness, odd Euler characteristic)
     are reported, not raised; a mesh is solver eligible iff there are no
-    violations and genus >= 2.
+    violations and genus >= 2.  This is the one place that rule is decided.
     """
     violations: list[str] = []
 
@@ -316,9 +311,10 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     degenerate_face = bool(((c0 == c1) | (c1 == c2) | (c2 == c0)).any())
     is_simplicial = not (has_loop or has_multi or degenerate_face)
 
-    return TopologyReport(chi=chi, genus=mesh.genus, is_simplicial=is_simplicial,
+    return TopologyReport(is_simplicial=is_simplicial,
                           max_vertex_degree=int(degree.max()),
-                          violations=violations)
+                          violations=violations,
+                          solver_eligible=not violations and mesh.genus >= 2)
 
 
 def load_face_curvature(text: str, mesh: SurfaceMesh) -> np.ndarray:

@@ -140,7 +140,9 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
 
 
 def octagon_fixture(level: int) -> ModelSurface:
-    """Octagon model refined ``level`` times."""
+    """Octagon model refined ``level`` times; ValueError for ``level < 0``."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
     m = gen_octagon_genus2()
     for _ in range(level):
         m = refine_midpoint(m)

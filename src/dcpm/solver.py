@@ -29,6 +29,7 @@ from its last point and factor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,12 @@ class NotPositiveDefiniteError(LinearSolveError):
     """
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (NumPy's too) >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass
 class SolveConfig:
     tolerance: float = 1e-10
@@ -89,8 +96,7 @@ class SolveConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_count("max_iterations", self.max_iterations)
 
 
 @dataclass
@@ -99,8 +105,7 @@ class ContinuationConfig:
     newton_polish: bool = True
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_count("steps", self.steps)
 
 
 @dataclass
@@ -216,25 +221,28 @@ class _HeldFactor:
         return d
 
 
-def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
-                    u: np.ndarray) -> None:
-    """Raise :class:`SolverInputError` unless the inputs meet the preconditions.
+def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
+    """Return ``(kappa, lengths, u)`` as the float arrays the solvers use.
 
-    The mesh must be a valid closed surface of genus >= 2; ``kappa`` must be
-    (F,) finite and negative, ``lengths`` (E,) finite and positive, and the
-    start point ``u`` (V,) finite.  Feasibility of the start is left to the
-    solvers, which raise :class:`InfeasibleStartError`.
+    Raises :class:`SolverInputError` unless the mesh is ``solver_eligible``
+    (:func:`validate_topology`) and the inputs are real: ``kappa`` (F,)
+    finite and negative, ``lengths`` (E,) finite and positive, ``u`` (V,)
+    finite.  ``u`` is copied, float64 ``kappa`` and ``lengths`` are not.
     """
     report = validate_topology(mesh)
-    if report.violations:
-        raise SolverInputError("invalid mesh: " + "; ".join(report.violations))
-    if report.genus < 2:
+    if not report.solver_eligible:
         raise SolverInputError(
-            f"genus >= 2 required (mesh has genus {report.genus})")
+            "invalid mesh: " + "; ".join(report.violations) if report.violations
+            else f"genus >= 2 required (mesh has genus {mesh.genus})")
+    try:  # a same-kind cast: complex or text input is an error, not truncated
+        kappa, lengths = (np.asarray(a).astype(float, casting="same_kind", copy=False)
+                          for a in (kappa, lengths))
+        u = np.asarray(u).astype(float, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise SolverInputError(f"inputs must be arrays of real numbers: {exc}") from None
     for name, value, n, sign in (("kappa", kappa, mesh.face_count, -1),
                                  ("lengths", lengths, mesh.edge_count, 1),
                                  ("u", u, mesh.vertex_count, 0)):
-        value = np.asarray(value)
         if value.shape != (n,):
             raise SolverInputError(f"{name} has shape {value.shape}, expected ({n},)")
         if not np.isfinite(value).all():
@@ -242,6 +250,7 @@ def validate_inputs(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
         if sign and not (np.sign(value) == sign).all():
             raise SolverInputError(
                 f"{name} must be strictly {'negative' if sign < 0 else 'positive'}")
+    return kappa, lengths, u
 
 
 def _evaluate(mesh, kappa, lengths, u):
@@ -260,9 +269,10 @@ def _feasible_point(mesh, kappa, lengths, u, message: str):
 
 
 def _start_point(mesh, kappa, lengths, u):
-    """Validate the inputs and :func:`_evaluate` the start point u."""
-    validate_inputs(mesh, kappa, lengths, u)
-    return _feasible_point(mesh, kappa, lengths, u, "initial point infeasible")
+    """:func:`validate_inputs`; its kappa and lengths and the evaluated u."""
+    kappa, lengths, u = validate_inputs(mesh, kappa, lengths, u)
+    return kappa, lengths, _feasible_point(mesh, kappa, lengths, u,
+                                           "initial point infeasible")
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -276,10 +286,8 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     (-K is a descent direction of the locally convex energy).
     """
     cfg = cfg or SolveConfig()
-    u = (np.zeros(mesh.vertex_count) if cfg.initial_u is None
-         else np.array(cfg.initial_u, dtype=float))
-    return _newton(mesh, kappa, lengths, _start_point(mesh, kappa, lengths, u),
-                   cfg, _HeldFactor())
+    u = np.zeros(mesh.vertex_count) if cfg.initial_u is None else cfg.initial_u
+    return _newton(mesh, *_start_point(mesh, kappa, lengths, u), cfg, _HeldFactor())
 
 
 def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
@@ -343,7 +351,7 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     end point, with ``iterations = 0`` and ``converged = False``.
     """
     cfg = cfg or ContinuationConfig()
-    point = _start_point(mesh, kappa, lengths, np.array(u0, dtype=float))
+    kappa, lengths, point = _start_point(mesh, kappa, lengths, u0)
     K0 = point[3]
     held = _HeldFactor()
 

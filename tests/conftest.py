@@ -111,25 +111,45 @@ def fd_jacobian(mesh, kappa, u, lengths, h=1e-6):
     return J
 
 
-@pytest.fixture
-def corner_angle_calls(monkeypatch):
-    """List that grows by one per ``geometry.corner_angles`` call.
+def count_calls(monkeypatch, function):
+    """List that grows by one per call of ``function``.
 
     Every ``dcpm`` module attribute bound to the function is patched, so
     calls through ``from .geometry import corner_angles`` copies count too.
     """
-    from dcpm import geometry
-
     calls = []
-    original = geometry.corner_angles
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args)
+        return function(*args, **kwargs)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").split(".")[0] == "dcpm":
             for key, value in list(vars(module).items()):
-                if value is original:
+                if value is function:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+@pytest.fixture
+def corner_angle_calls(monkeypatch):
+    """Calls of ``geometry.corner_angles``, the one angle evaluation."""
+    from dcpm import geometry
+
+    return count_calls(monkeypatch, geometry.corner_angles)
+
+
+@pytest.fixture
+def topology_calls(monkeypatch):
+    """Calls of ``mesh.validate_topology``."""
+    from dcpm import mesh
+
+    return count_calls(monkeypatch, mesh.validate_topology)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Calls of ``solver.solve_linear_spd``, the fresh-factor path."""
+    from dcpm import solver
+
+    return count_calls(monkeypatch, solver.solve_linear_spd)

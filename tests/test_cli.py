@@ -59,9 +59,14 @@ def test_gen_roundtrips(tmp_path, capsys):
     assert mesh.face_count == 32
 
 
-def test_gen_rejects_negative_refine(tmp_path):
+def test_gen_rejects_negative_refine(tmp_path, capsys):
+    # models.octagon_fixture owns the level rule; main maps its ValueError
     assert main(["gen", "octagon", "--refine", "-1",
                  "--out", str(tmp_path / "m")]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level must be >= 0\n"
+    assert not (tmp_path / "m").exists()
 
 
 # -- solve ------------------------------------------------------------------
@@ -291,19 +296,6 @@ def test_every_command_checks_outputs_first(tmp_path, mesh_file, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.fixture
-def topology_calls(monkeypatch):
-    """List that grows by one per ``validate_topology`` call."""
-    import dcpm.cli
-    import dcpm.solver
-    calls = []
-    real = dcpm.solver.validate_topology
-    for module in (dcpm.cli, dcpm.solver):
-        monkeypatch.setattr(module, "validate_topology",
-                            lambda mesh: calls.append(1) or real(mesh))
-    return calls
-
-
 def test_solve_validates_topology_once(tmp_path, mesh_file, topology_calls):
     assert main(["solve", "--mesh", mesh_file, "--kappa", "const:-1",
                  "--out", str(tmp_path / "u")]) == EXIT_OK
@@ -530,6 +522,16 @@ def test_converge_non_convergence_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
     assert parse_report(captured.out)["levels"] == "2"
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_converge_rejects_zero_levels(tmp_path, capsys):
+    # models.convergence_study owns the levels rule; main maps its ValueError
+    assert main(["converge", "--levels", "0",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: levels must be >= 1\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_converge_rejects_positive_kappa(tmp_path):

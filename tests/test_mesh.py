@@ -24,8 +24,8 @@ def test_tetrahedron_topology(tetra):
     mesh, _ = tetra
     report = validate_topology(mesh)
     assert report.violations == []
-    assert report.chi == 2
-    assert report.genus == 0
+    assert mesh.euler_characteristic == 2
+    assert mesh.genus == 0
     assert report.is_simplicial
     assert report.max_vertex_degree == 3
     assert not report.solver_eligible
@@ -36,8 +36,8 @@ def test_octagon_topology(octagon0):
     assert report.violations == []
     assert (octagon0.mesh.vertex_count, octagon0.mesh.edge_count,
             octagon0.mesh.face_count) == (2, 12, 8)
-    assert report.chi == -2
-    assert report.genus == 2
+    assert octagon0.mesh.euler_characteristic == -2
+    assert octagon0.mesh.genus == 2
     assert not report.is_simplicial          # two vertices, loops, multi-edges
     assert report.solver_eligible
 
@@ -57,18 +57,17 @@ def test_octagon_topology(octagon0):
 
 def test_refined_octagon_counts(octagon1):
     mesh = octagon1.mesh
-    report = validate_topology(mesh)
-    assert report.violations == []
+    assert validate_topology(mesh).violations == []
     assert (mesh.vertex_count, mesh.edge_count, mesh.face_count) == (14, 48, 32)
-    assert report.genus == 2
+    assert mesh.genus == 2
     assert 3 * mesh.face_count == 2 * mesh.edge_count
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_euler_and_count_invariants(octagon_levels, level):
     mesh = octagon_levels[level].mesh
-    report = validate_topology(mesh)
-    assert mesh.euler_characteristic == 2 - 2 * report.genus
+    assert validate_topology(mesh).solver_eligible
+    assert mesh.euler_characteristic == 2 - 2 * mesh.genus
     assert 3 * mesh.face_count == 2 * mesh.edge_count
 
 

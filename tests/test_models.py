@@ -72,9 +72,8 @@ def test_refinement_counts(octagon_levels):
         assert m1.mesh.vertex_count == V + E
         assert m1.mesh.edge_count == 2 * E + 3 * F
         assert m1.mesh.face_count == 4 * F
-        report = validate_topology(m1.mesh)
-        assert report.violations == []
-        assert report.genus == 2
+        assert validate_topology(m1.mesh).violations == []
+        assert m1.mesh.genus == 2
 
 
 def test_refinement_halves_max_length(octagon_levels):
@@ -87,6 +86,11 @@ def test_refinement_halves_max_length(octagon_levels):
 def test_refinement_is_simplicial_from_level2(octagon_levels):
     assert not validate_topology(octagon_levels[1].mesh).is_simplicial
     assert validate_topology(octagon_levels[2].mesh).is_simplicial
+
+
+def test_octagon_fixture_rejects_negative_level():
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        octagon_fixture(-1)
 
 
 def test_octagon_fixture_matches_levels(octagon_levels):

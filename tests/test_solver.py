@@ -8,7 +8,8 @@ from dcpm.geometry import corner_angles, discrete_curvature, scale_lengths
 from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
                          LinearSolveError, NotPositiveDefiniteError,
                          SolveConfig, SolverInputError, continuation_solve,
-                         energy_along_path, newton_solve, solve_linear_spd)
+                         energy_along_path, newton_solve, solve_linear_spd,
+                         validate_inputs)
 
 from conftest import TETRA_TEXT, jacobian_at, random_feasible_instance
 
@@ -98,12 +99,54 @@ def test_rejects_bad_inputs(octagon1, case, method):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(steps=0)
+    for make in (lambda: SolveConfig(tolerance=0.0),
+                 lambda: SolveConfig(max_iterations=0),
+                 lambda: SolveConfig(max_iterations=1.5),
+                 lambda: ContinuationConfig(steps=0),
+                 lambda: ContinuationConfig(steps=2.5)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_config_counts_accept_numpy_integers():
+    assert SolveConfig(max_iterations=np.int64(3)).max_iterations == 3
+    assert ContinuationConfig(steps=np.int32(2)).steps == 2
+
+
+def test_list_inputs_solve_like_arrays(octagon1):
+    # validate_inputs converts the inputs once; the solvers use its arrays
+    m = octagon1
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(3).normal(0.0, 0.05, m.mesh.vertex_count)
+    cfg = ContinuationConfig(steps=8)
+    pairs = [
+        (newton_solve(m.mesh, kappa, m.lengths, SolveConfig(initial_u=u0)),
+         newton_solve(m.mesh, kappa.tolist(), m.lengths.tolist(),
+                      SolveConfig(initial_u=u0.tolist()))),
+        (continuation_solve(m.mesh, kappa, m.lengths, u0, cfg),
+         continuation_solve(m.mesh, kappa.tolist(), m.lengths.tolist(),
+                            u0.tolist(), cfg)),
+    ]
+    for array_result, list_result in pairs:
+        assert array_result.converged
+        np.testing.assert_array_equal(list_result.u, array_result.u)
+        assert list_result.step_log == array_result.step_log
+
+
+def test_validate_inputs_returns_the_solver_arrays(octagon0):
+    m = octagon0
+    kappa, u = kappa_const(m), np.zeros(m.mesh.vertex_count)
+    checked = validate_inputs(m.mesh, kappa, m.lengths, u)
+    # float64 kappa and lengths pass through; u is always a copy
+    assert checked[0] is kappa and checked[1] is m.lengths
+    assert checked[2] is not u and checked[2].dtype == np.float64
+    as_lists = validate_inputs(m.mesh, kappa.tolist(), [1] * m.mesh.edge_count,
+                               u.tolist())
+    assert all(a.dtype == np.float64 for a in as_lists)
+    # text is not a number, and a complex value is not truncated to its real part
+    for bad in (["x"] * m.mesh.face_count, kappa + 0.5j):
+        with pytest.raises(SolverInputError, match="real numbers"):
+            validate_inputs(m.mesh, bad, m.lengths, u)
 
 
 # -- linear solve -------------------------------------------------------------
@@ -323,20 +366,6 @@ def test_flow_l2_angle_evaluations(octagon2, corner_angle_calls):
 
 
 # -- held factor --------------------------------------------------------------
-
-@pytest.fixture
-def factorizations(monkeypatch):
-    """List that grows by one per ``solver.solve_linear_spd`` call."""
-    calls = []
-    real_solve = solver.solve_linear_spd
-
-    def counted(J, rhs):
-        calls.append(1)
-        return real_solve(J, rhs)
-
-    monkeypatch.setattr(solver, "solve_linear_spd", counted)
-    return calls
-
 
 def newton_refactoring_every_step(mesh, kappa, lengths, cfg=None):
     """Reference: ``newton_solve`` with every direction from a fresh factor."""
