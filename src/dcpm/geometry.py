@@ -14,8 +14,8 @@ from .mesh import SurfaceMesh
 
 TWO_PI = 2.0 * np.pi
 
-# A face is infeasible when max(H) >= sum(other H) - FEASIBILITY_RTOL*max(H);
-# keeps acos away from its branch points at near-degenerate triangles.
+# A face is infeasible when max(H) >= sum(other H) - FEASIBILITY_RTOL*max(H): the
+# half-angle form divides by sinh(s - H_i), kept far above its rounding error.
 FEASIBILITY_RTOL = 1e-12
 
 # A face is also infeasible when its model perimeter is not finite or exceeds

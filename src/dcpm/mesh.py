@@ -279,8 +279,8 @@ def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
 def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     """Report simpliciality, defects and solver eligibility.
 
-    Defects (wrong orientation, disconnectedness, odd Euler characteristic)
-    are reported, not raised; a mesh is solver eligible iff there are no
+    Defects (wrong orientation, pinched vertices, disconnectedness) are
+    reported, not raised; a mesh is solver eligible iff there are no
     violations and genus >= 2.  This is the one place that rule is decided.
     """
     violations: list[str] = []
@@ -293,13 +293,21 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
         violations.append(f"edge {mesh.edge_ids[e]} traversed twice in the "
                           "same direction (orientation defect)")
 
+    # Corner c is the tail of the edge in slot c; on an oriented mesh the next
+    # corner around its vertex follows the other slot of that edge.  A closed
+    # surface, whose Euler characteristic is even, has one cycle per vertex.
+    if not violations:
+        slots = np.argsort(mesh.face_edges.ravel(), kind="stable").reshape(-1, 2)
+        other = slots[:, ::-1].ravel()
+        turn = np.stack([slots.ravel(), other - other % 3 + (other + 1) % 3], axis=1)
+        first = vertex_components(slots.size, turn) == np.arange(slots.size)
+        cycles = np.bincount(mesh.face_corners.ravel()[first]).tolist()
+        violations += [f"vertex {v}: link has {n} cycles (not a surface)"
+                       for v, n in enumerate(cycles) if n > 1]
+
     # Connectivity of the 1-skeleton (vertices + edges).
     if vertex_components(mesh.vertex_count, mesh.edges).any():
         violations.append("mesh is disconnected")
-
-    chi = mesh.euler_characteristic
-    if chi % 2 != 0:
-        violations.append(f"odd Euler characteristic {chi}")
 
     degree = np.bincount(mesh.edges.ravel(), minlength=mesh.vertex_count)
 

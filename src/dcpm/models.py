@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .mesh import SurfaceMesh
-from .solver import newton_solve
+from .solver import _check_count, newton_solve
 
 
 @dataclass
@@ -140,9 +140,8 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
 
 
 def octagon_fixture(level: int) -> ModelSurface:
-    """Octagon model refined ``level`` times; ValueError for ``level < 0``."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """Octagon model refined ``level`` times, an integer >= 0 (else ValueError)."""
+    _check_count("level", level, minimum=0)
     m = gen_octagon_genus2()
     for _ in range(level):
         m = refine_midpoint(m)
@@ -208,8 +207,7 @@ def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
     the reference for a constant kappa is -log(-kappa): error_inf is
     max|u + log(-kappa)|.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _check_count("levels", levels)
     rows = []
     m = gen_octagon_genus2()
     for level in range(levels):

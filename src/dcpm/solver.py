@@ -15,12 +15,11 @@ from CG or LU, is checked twice: d must be a descent direction for the
 line search (rhs . d > 0, which holds whenever the matrix is positive
 definite), and the recomputed residual |J d - rhs| must be small relative
 to |rhs|.  A step that fails the first check falls back to a gradient
-step; the step itself uses feasibility-aware backtracking.
-The angles of each trial point give its K and margin and, once accepted,
-the next Jacobian.
-The backtracking is Armijo-style on |K|: a trial step t is accepted once
-|K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t) |K(u)|_2, and each rejection
-multiplies t by BACKTRACK_SHRINK, at most MAX_BACKTRACKS times per iteration.
+step.  The backtracking is Armijo-style on |K|: a trial step t is accepted
+once every face is feasible and |K(u + t d)|_2 <= (1 - BACKTRACK_SLOPE * t)
+|K(u)|_2, and each rejection multiplies t by BACKTRACK_SHRINK, at most
+MAX_BACKTRACKS times per iteration.  The angles of each trial point give
+its K and, once accepted, its margin and the next Jacobian.
 The continuation solver integrates u'(t) = (Delta_eta(u) - D(u))^{-1} K(u0)
 with classical RK4, which follows the path K(u(t)) = (1-t) K(u0).  It too
 carries evaluated points and a held factor, and the Newton polish starts
@@ -35,13 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
-                       curvature_from_angles, discrete_curvature, scale_lengths)
+                       curvature_from_angles, scale_lengths)
 from .jacobian import CotangentSingularityError, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
-
-# Steps may pass through non-acute configurations, but not near-degenerate
-# ones: reject a trial point once the acuteness margin drops below -pi/4.
-MIN_MARGIN = -np.pi / 4
 
 LINEAR_RESIDUAL_RTOL = 1e-10
 
@@ -81,10 +76,10 @@ class NotPositiveDefiniteError(LinearSolveError):
     """
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (NumPy's too) >= 1."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1")
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (NumPy's too) >= ``minimum``."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 @dataclass
@@ -279,11 +274,10 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
                  cfg: SolveConfig | None = None) -> SolveResult:
     """Find the conformal factor with K(u) = 0 by damped Newton iteration.
 
-    A step is accepted when every face stays feasible, the acuteness margin
-    stays above ``MIN_MARGIN`` and the 2-norm of K decreases sufficiently.
-    When the Newton direction is unavailable (singular factor, no descent,
-    or a cotangent singularity) the iteration falls back to a gradient step
-    (-K is a descent direction of the locally convex energy).
+    A step is accepted when every face stays feasible and |K|_2 decreases
+    sufficiently.  When the Newton direction is unavailable (singular
+    factor, no descent, or a cotangent singularity) the iteration falls back
+    to a gradient step (-K is a descent direction of the locally convex energy).
     """
     cfg = cfg or SolveConfig()
     u = np.zeros(mesh.vertex_count) if cfg.initial_u is None else cfg.initial_u
@@ -312,22 +306,19 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
         norm2 = float(np.linalg.norm(K))
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
-            try:
+            try:  # an infeasible trial point backtracks like an insufficient one
                 trial = _evaluate(mesh, kappa, lengths, u + step * d)
+                if np.linalg.norm(trial[3]) <= (1.0 - BACKTRACK_SLOPE * step) * norm2:
+                    break
             except InfeasibleFaceError:
-                step *= BACKTRACK_SHRINK
-                continue
-            margin = acuteness_margin(trial[2])
-            if margin > MIN_MARGIN and (
-                    float(np.linalg.norm(trial[3]))
-                    <= (1.0 - BACKTRACK_SLOPE * step) * norm2):
-                break
+                pass
             step *= BACKTRACK_SHRINK
         else:
             break
 
         u, scaled, angles, K = trial
-        step_log.append((it + 1, float(np.max(np.abs(K))), step, margin))
+        step_log.append((it + 1, float(np.max(np.abs(K))), step,
+                         acuteness_margin(angles)))
 
     residual_inf = float(np.max(np.abs(K)))
     return SolveResult(u=u, residual_inf=residual_inf, iterations=len(step_log),
@@ -399,12 +390,14 @@ def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
 
     32-point Gauss-Legendre quadrature; a path-independence and convexity diagnostic
     for the underlying energy (its gradient is K, its Hessian symmetric).
+    Inputs pass :func:`validate_inputs`; an infeasible node raises InfeasibleStartError.
     """
+    kappa, lengths, u_start = validate_inputs(mesh, kappa, lengths, u_start)
+    delta = validate_inputs(mesh, kappa, lengths, u_end)[2] - u_start
     nodes, weights = np.polynomial.legendre.leggauss(32)
-    delta = np.asarray(u_end, dtype=float) - np.asarray(u_start, dtype=float)
     total = 0.0
-    for xi, w in zip(nodes, weights):
-        t = 0.5 * (xi + 1.0)
-        K = discrete_curvature(mesh, kappa, u_start + t * delta, lengths)
+    for t, w in zip(0.5 * (nodes + 1.0), weights):
+        K = _feasible_point(mesh, kappa, lengths, u_start + t * delta,
+                            f"infeasible point at path parameter {t:.6g}")[3]
         total += 0.5 * w * float(K @ delta)
     return total

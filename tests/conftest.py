@@ -68,6 +68,28 @@ def octagon2(octagon_levels):
     return octagon_levels[2]
 
 
+def degenerate_lengths(m):
+    """Level-2 octagon lengths with face 3 (edges 96, 97, 98) nearly flat at
+    kappa = -1: H_98 = 0.999 (H_96 + H_97), start margin -1.477."""
+    lengths = m.lengths.copy()
+    H = 2 * np.arcsinh(lengths / 2)
+    lengths[98] = 2 * np.sinh(0.999 * (H[96] + H[97]) / 2)
+    return lengths
+
+
+def pinched(m):
+    """The mesh of ``m`` with vertex 40 glued to 10 and 50 to 20: a genus-3
+    Euler characteristic, but not a surface (both links are two cycles)."""
+    from dcpm.mesh import SurfaceMesh
+
+    glue = np.arange(m.mesh.vertex_count)
+    glue[[40, 50]] = [10, 20]
+    relabel = np.unique(glue, return_inverse=True)[1]
+    s = m.mesh
+    return SurfaceMesh(int(relabel.max()) + 1, relabel[s.edges], s.face_edges,
+                       s.face_signs, s.edge_ids, s.face_ids)
+
+
 def random_feasible_instance(m, rng, kappa_range=(-2.0, -0.5), u_scale=0.1):
     """Random per-face curvature and small conformal factor on a fixture."""
     kappa = rng.uniform(*kappa_range, m.mesh.face_count)

@@ -19,7 +19,7 @@ from dcpm.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NO_CONVERGENCE,
                       EXIT_OK, main)
 from dcpm.mesh import dump_mesh
 
-from conftest import TETRA_TEXT
+from conftest import TETRA_TEXT, degenerate_lengths, pinched
 
 
 @pytest.fixture
@@ -65,11 +65,19 @@ def test_gen_rejects_negative_refine(tmp_path, capsys):
                  "--out", str(tmp_path / "m")]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: level must be >= 0\n"
+    assert captured.err == "error: level must be an integer >= 0\n"
     assert not (tmp_path / "m").exists()
 
 
 # -- solve ------------------------------------------------------------------
+
+def test_solve_from_a_degenerate_start(tmp_path, octagon2, capsys):
+    path = tmp_path / "degenerate.mesh"
+    path.write_text(dump_mesh(octagon2.mesh, degenerate_lengths(octagon2)))
+    assert main(["solve", "--mesh", str(path), "--kappa", "const:-1",
+                 "--out", str(tmp_path / "u.out")]) == EXIT_OK
+    assert parse_report(capsys.readouterr().out)["converged"] == "True"
+
 
 def test_solve_success(tmp_path, mesh_file, capsys):
     out = tmp_path / "u.out"
@@ -476,6 +484,23 @@ def test_check_accepts_ineligible_mesh(tmp_path, capsys):
     assert report["solver_eligible"] == "False"
 
 
+def test_pinched_mesh_is_invalid(tmp_path, octagon2, capsys):
+    path = tmp_path / "pinched.mesh"
+    path.write_text(dump_mesh(pinched(octagon2), octagon2.lengths))
+    assert main(["check", "--mesh", str(path)]) == EXIT_OK
+    report = parse_report(capsys.readouterr().out)
+    assert report["genus"] == "3"
+    assert report["violations"] == "2"
+    assert report["solver_eligible"] == "False"
+    assert main(["solve", "--mesh", str(path), "--kappa", "const:-1",
+                 "--out", str(tmp_path / "u.out")]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid mesh: vertex 10: link has 2 cycles")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "u.out").exists()
+
+
 def test_check_infeasible_reported(tmp_path, octagon1, capsys):
     path = tmp_path / "m.mesh"
     lengths = octagon1.lengths.copy()
@@ -530,7 +555,7 @@ def test_converge_rejects_zero_levels(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: levels must be >= 1\n"
+    assert captured.err == "error: levels must be an integer >= 1\n"
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dcpm.mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
     load_mesh, validate_topology, vertex_components
 
-from conftest import TETRA_TEXT
+from conftest import TETRA_TEXT, pinched
 
 
 def test_tetrahedron_loads(tetra):
@@ -18,6 +18,17 @@ def test_tetrahedron_loads(tetra):
     assert mesh.face_count == 4
     assert mesh.euler_characteristic == 2
     assert np.all(lengths == 1.0)
+
+
+def test_pinched_vertices_are_violations(octagon2):
+    # gluing two pairs of vertices keeps an even Euler characteristic (genus
+    # 3), so only the links show that the result is not a surface
+    mesh = pinched(octagon2)
+    assert mesh.genus == 3
+    report = validate_topology(mesh)
+    assert report.violations == ["vertex 10: link has 2 cycles (not a surface)",
+                                 "vertex 20: link has 2 cycles (not a surface)"]
+    assert not report.solver_eligible
 
 
 def test_tetrahedron_topology(tetra):

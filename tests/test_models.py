@@ -89,8 +89,10 @@ def test_refinement_is_simplicial_from_level2(octagon_levels):
 
 
 def test_octagon_fixture_rejects_negative_level():
-    with pytest.raises(ValueError, match="level must be >= 0"):
+    with pytest.raises(ValueError, match="level must be an integer >= 0"):
         octagon_fixture(-1)
+    with pytest.raises(ValueError, match="level must be an integer >= 0"):
+        octagon_fixture(1.5)
 
 
 def test_octagon_fixture_matches_levels(octagon_levels):
@@ -195,3 +197,5 @@ def test_rows_to_csv_shape():
 def test_convergence_study_rejects_bad_levels():
     with pytest.raises(ValueError):
         convergence_study(0)
+    with pytest.raises(ValueError, match="levels must be an integer >= 1"):
+        convergence_study(2.5)

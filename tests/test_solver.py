@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpm import models, solver
-from dcpm.geometry import corner_angles, discrete_curvature, scale_lengths
+from dcpm.geometry import (acuteness_margin, corner_angles, discrete_curvature,
+                           scale_lengths)
 from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
                          LinearSolveError, NotPositiveDefiniteError,
                          SolveConfig, SolverInputError, continuation_solve,
                          energy_along_path, newton_solve, solve_linear_spd,
                          validate_inputs)
 
-from conftest import TETRA_TEXT, jacobian_at, random_feasible_instance
+from conftest import (TETRA_TEXT, degenerate_lengths, jacobian_at,
+                      random_feasible_instance)
 
 
 def kappa_const(m, value=-1.0):
@@ -240,6 +242,22 @@ def test_newton_step_log_margins(octagon1):
     for _, _, step, margin in result.step_log:
         assert 0 < step <= 1.0
         assert margin > -np.pi / 4
+
+
+def test_newton_solves_from_a_degenerate_start(octagon2):
+    # an obtuse start is a valid one: the line search accepts any feasible
+    # trial point that passes the Armijo test, whatever its margin
+    m = octagon2
+    kappa = kappa_const(m)
+    lengths = degenerate_lengths(m)
+    margin = acuteness_margin(corner_angles(m.mesh, kappa, lengths))
+    assert margin == pytest.approx(-1.477, abs=1e-3)
+    result = newton_solve(m.mesh, kappa, lengths)
+    assert result.converged
+    assert result.iterations == 5
+    flow = continuation_solve(m.mesh, kappa, lengths, np.zeros(m.mesh.vertex_count))
+    assert flow.converged
+    assert np.max(np.abs(result.u - flow.u)) <= 1e-9
 
 
 def test_newton_gradient_fallback(octagon1, monkeypatch):
@@ -554,6 +572,31 @@ def test_energy_path_independence(octagon1):
     detour = (energy_along_path(m.mesh, kappa, m.lengths, a, c)
               + energy_along_path(m.mesh, kappa, m.lengths, c, b))
     assert direct == pytest.approx(detour, abs=1e-10)
+
+
+def test_energy_along_path_takes_lists(octagon1):
+    # validate_inputs converts the inputs: lists give the arrays' bits
+    m = octagon1
+    kappa = kappa_const(m, -1.1)
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-0.05, 0.05, (2, m.mesh.vertex_count))
+    expected = energy_along_path(m.mesh, kappa, m.lengths, a, b)
+    assert energy_along_path(m.mesh, kappa.tolist(), m.lengths.tolist(),
+                             a.tolist(), b.tolist()) == expected
+
+
+def test_energy_along_path_checks_inputs(octagon1):
+    m = octagon1
+    zero = np.zeros(m.mesh.vertex_count)
+    with pytest.raises(SolverInputError, match="kappa must be strictly negative"):
+        energy_along_path(m.mesh, kappa_const(m, 1.0), m.lengths, zero, zero)
+    with pytest.raises(SolverInputError, match="u has shape"):
+        energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, zero[1:])
+    # shrinking the center's edges makes its faces infeasible along the path
+    end = zero.copy()
+    end[0] = -10.0
+    with pytest.raises(InfeasibleStartError, match="path parameter"):
+        energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, end)
 
 
 def test_energy_minimum_at_solution(octagon1):
