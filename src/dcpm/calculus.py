@@ -27,7 +27,7 @@ ISOPERIMETRIC_VERTEX_CAP = 24
 ISOPERIMETRIC_CHUNK = 1 << 18
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """Bare multigraph for standalone graph-calculus use."""
 

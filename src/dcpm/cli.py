@@ -11,6 +11,8 @@ in order, the report file last, prints the report and maps the exit code:
 written, 3 infeasible configuration, 4 non-convergence (outputs still
 written; for ``converge``, a level that did not converge) or a failed linear
 solve (nothing written).  2, 3 and 4 write one ``error:`` line to stderr.
+A malformed command line is a ``CliError`` too: the parser raises it instead
+of printing its usage and exiting, so it leaves through :func:`main`.
 
 Only ``solve``, ``flow`` and ``converge`` load scipy, on their first linear
 solve; the ``seconds`` line of ``solve`` and ``flow`` includes that import.
@@ -29,8 +31,8 @@ import numpy as np
 from . import geometry, models
 from .calculus import isoperimetric_constant
 from .geometry import InfeasibleFaceError
-from .mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
-    load_mesh, validate_topology
+from .mesh import MeshError, SurfaceMesh, ascii_number, dump_mesh, \
+    load_face_curvature, load_mesh, validate_topology
 from .solver import ContinuationConfig, InfeasibleStartError, LinearSolveError, \
     SolveConfig, SolverInputError, continuation_solve, newton_solve
 
@@ -100,7 +102,7 @@ def _read_mesh(path: str):
 
 def _const_kappa(spec: str) -> float:
     try:
-        value = float(spec[len("const:"):])
+        value = ascii_number(float, spec[len("const:"):])
     except ValueError:
         raise CliError(f"bad curvature literal {spec!r}")
     if not (value < 0 and np.isfinite(value)):
@@ -247,8 +249,13 @@ def cmd_converge(args) -> tuple[int, dict, dict]:
     return code, report, {args.out: models.rows_to_csv(rows)}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcpm",
         description="Prescribed negative curvature on closed triangulated "
                     "surfaces via discrete conformal factors")
@@ -268,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--kappa", required=True)
     p.add_argument("--steps", type=int, default=ContinuationConfig.steps)
-    p.add_argument("--polish", action=argparse.BooleanOptionalAction,
-                   default=ContinuationConfig.newton_polish)
+    p.add_argument("--no-polish", dest="polish", action="store_false")
     p.add_argument("--trace", default=None)
     p.add_argument("--out", default="u.out")
     p.add_argument("--report", default=None)
@@ -297,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_writable(*map(vars(args).get, ("trace", "out", "report")))
         code, report, files = args.func(args)
         files[vars(args).get("report")] = _report_text(report, _VOLATILE_KEYS)

@@ -34,7 +34,7 @@ class MeshError(Exception):
     """Invalid mesh file or mesh combinatorics."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
     """Combinatorial closed oriented triangulated surface.
 
@@ -143,12 +143,16 @@ def _records(text: str):
             yield lineno, line, line.split()
 
 
+def ascii_number(kind: type, tok: str):
+    # int() and float() alone also take digit-group underscores and non-ASCII digits
+    if "_" in tok or not tok.isascii():
+        raise ValueError(f"not an ASCII number: {tok!r}")
+    return kind(tok)
+
+
 def _parse_number(kind: type, tok: str, what: str, lineno: int):
-    # int() and float() also take digit-group underscores and non-ASCII digits
     try:
-        if "_" in tok or not tok.isascii():
-            raise ValueError
-        value = kind(tok)
+        value = ascii_number(kind, tok)
     except ValueError:
         raise MeshError(f"line {lineno}: bad {what} {tok!r}") from None
     if kind is int and not -2**63 <= value < 2**63:

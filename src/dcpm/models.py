@@ -19,7 +19,7 @@ from .mesh import SurfaceMesh
 from .solver import _check_count, newton_solve
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelSurface:
     mesh: SurfaceMesh
     lengths: np.ndarray

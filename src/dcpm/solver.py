@@ -89,8 +89,8 @@ class SolveConfig:
     initial_u: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and > 0")
         _check_count("max_iterations", self.max_iterations)
 
 

@@ -187,6 +187,24 @@ def test_surface_mesh_bounds_vertex_count(tetra):
                     mesh.edge_ids, mesh.face_ids)
 
 
+@pytest.mark.parametrize("endpoint", [-1, 4])
+def test_surface_mesh_bounds_edge_endpoints(tetra, endpoint):
+    mesh, _ = tetra
+    edges = mesh.edges.copy()
+    edges[5, 1] = endpoint
+    with pytest.raises(MeshError, match="edge endpoint out of vertex range"):
+        SurfaceMesh(mesh.vertex_count, edges, mesh.face_edges, mesh.face_signs,
+                    mesh.edge_ids, mesh.face_ids)
+
+
+def test_surface_mesh_compares_by_identity(tetra, octagon1):
+    # a generated __eq__ would compare arrays and raise on truth testing
+    mesh, twin = tetra[0], load_mesh(TETRA_TEXT)[0]
+    assert mesh == mesh and mesh != twin and mesh in [twin, mesh]
+    assert mesh not in [twin, octagon1.mesh] and len({mesh, twin, mesh}) == 2
+    assert octagon1 in [octagon1] and len({octagon1, octagon1}) == 1
+
+
 def test_nonpositive_length_rejected():
     text = TETRA_TEXT.replace("e 5 2 3 1.0", "e 5 2 3 0.0")
     with pytest.raises(MeshError, match="length"):

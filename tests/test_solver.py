@@ -102,6 +102,7 @@ def test_rejects_bad_inputs(octagon1, case, method):
 
 def test_config_validation():
     for make in (lambda: SolveConfig(tolerance=0.0),
+                 lambda: SolveConfig(tolerance=np.inf),
                  lambda: SolveConfig(max_iterations=0),
                  lambda: SolveConfig(max_iterations=1.5),
                  lambda: ContinuationConfig(steps=0),
