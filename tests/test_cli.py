@@ -100,7 +100,6 @@ def row(id, code, argv, err="", report=None, written=()):
 SOLVE = "solve --mesh {mesh} --out {tmp}/u --kappa"
 FLOW = "flow --mesh {mesh} --out {tmp}/u --kappa const:-1 --steps"
 CONVERGE = "converge --out {tmp}/s.csv --levels"
-CANNOT = "error: cannot "
 NOT_CONVERGED = "error: no convergence; the best iterate was written\n"
 
 EXIT_CODES = [
@@ -154,19 +153,6 @@ EXIT_CODES = [
     row("check-huge-face-id", EXIT_INVALID, "check --mesh {hugeface}", "int64"),
     row("check-huge-vertex-count", EXIT_INVALID, "check --mesh {hugevcount}",
         "int64"),
-    # files that cannot be read as UTF-8 text or cannot be written
-    row("check-mesh-not-utf8", EXIT_INVALID, "check --mesh {latin1}", CANNOT),
-    row("solve-kappa-not-utf8", EXIT_INVALID, f"{SOLVE} {{latin1}}", CANNOT),
-    row("gen-out", EXIT_INVALID, "gen octagon --out {nowhere}", CANNOT),
-    row("check-report", EXIT_INVALID, "check --mesh {mesh} --report {nowhere}",
-        CANNOT),
-    row("solve-out", EXIT_INVALID, "solve --mesh {mesh} --kappa const:-1 "
-        "--out {nowhere}", CANNOT),
-    row("solve-report", EXIT_INVALID, f"{SOLVE} const:-1 --report {{nowhere}}",
-        CANNOT),
-    row("flow-trace", EXIT_INVALID, f"{FLOW} 8 --trace {{nowhere}}", CANNOT),
-    row("converge-out", EXIT_INVALID, "converge --levels 1 --out {nowhere}",
-        CANNOT),
     # model lengths past the sinh range are infeasible, not a NaN result
     *(row(f"solve-kappa-{k}", EXIT_INFEASIBLE, f"{SOLVE} const:-{k}")
       for k in ("1e300", "1e150", "1e100")),
@@ -185,6 +171,18 @@ EXIT_CODES = [
 ]
 
 
+# files that cannot be read as UTF-8 text or cannot be written
+FILE_ERRORS = [row(id, EXIT_INVALID, argv, "error: cannot ") for id, argv in [
+    ("check-mesh-not-utf8", "check --mesh {latin1}"),
+    ("solve-kappa-not-utf8", f"{SOLVE} {{latin1}}"),
+    ("gen-out", "gen octagon --out {nowhere}"),
+    ("check-report", "check --mesh {mesh} --report {nowhere}"),
+    ("solve-out", "solve --mesh {mesh} --kappa const:-1 --out {nowhere}"),
+    ("solve-report", f"{SOLVE} const:-1 --report {{nowhere}}"),
+    ("flow-trace", f"{FLOW} 8 --trace {{nowhere}}"),
+    ("converge-out", "converge --levels 1 --out {nowhere}")]]
+
+
 @pytest.mark.parametrize("argv, code, err, report, written", EXIT_CODES)
 def test_exit_code(cli_paths, argv, code, err, report, written):
     got_code, out, got_err = assert_cli_contract(
@@ -194,6 +192,12 @@ def test_exit_code(cli_paths, argv, code, err, report, written):
     assert (out == "") if report is None else (report in out)
     left = sorted(p.name for p in Path(cli_paths["tmp"]).rglob("*"))
     assert left == sorted(written)
+
+
+@pytest.mark.parametrize("argv, code, err, report, written", FILE_ERRORS)
+def test_unreadable_or_unwritable_file_exits_2(cli_paths, argv, code, err,
+                                               report, written):
+    test_exit_code(cli_paths, argv, code, err, report, written)
 
 
 def test_help_exits_0(capsys):
