@@ -72,13 +72,19 @@ def _write(path: str, text: str) -> None:
 
 
 def _check_writable(*paths: str | None) -> None:
-    """Raise CliError unless every given output path can be opened for
-    writing, so that a command fails before it reads, solves or writes.
+    """Raise CliError unless the given output paths are distinct files (by
+    ``os.path.realpath``) that can each be opened for writing, so that a
+    command fails before it reads, solves or writes.
 
     Each path is opened for appending and closed, which changes no file; one
     that did not exist is removed again.
     """
-    for path in filter(None, paths):
+    paths = [p for p in paths if p]
+    real = [os.path.realpath(p) for p in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise CliError(f"output file {path!r} given twice")
+    for path in paths:
         existed = os.path.lexists(path)
         try:
             open(path, "a").close()

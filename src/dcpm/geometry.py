@@ -66,8 +66,9 @@ def max_length(lengths: np.ndarray) -> float:
 
 def infeasible_slots(H: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of (..., 3) model lengths failing feasibility."""
-    s = H.sum(axis=-1)
-    m = H.max(axis=-1)
+    # column by column: the same sum, in the same order, as H.sum(axis=-1)
+    s = H[..., 0] + H[..., 1] + H[..., 2]
+    m = np.maximum(np.maximum(H[..., 0], H[..., 1]), H[..., 2])
     with np.errstate(invalid="ignore"):  # inf - inf on an overflowed face
         return (m >= (s - m) - FEASIBILITY_RTOL * m) | ~(s <= MAX_MODEL_PERIMETER)
 
@@ -85,8 +86,8 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
         raise InfeasibleFaceError(np.nonzero(bad)[0])
     # half-angle (tangent) form of the hyperbolic law of cosines; unlike the
     # cosine form it has no catastrophic cancellation for small triangles
-    a = np.roll(H, -1, axis=-1)       # opposite side
-    b, c = H, np.roll(H, 1, axis=-1)  # adjacent sides
+    a = H[..., [1, 2, 0]]        # opposite side
+    b, c = H, H[..., [2, 0, 1]]  # adjacent sides
     sa = 0.5 * (-a + b + c)
     sb = 0.5 * (a - b + c)
     sc = 0.5 * (a + b - c)

@@ -6,12 +6,13 @@ and the lambda factors; the result is the true Jacobian of
 the test suite).  Assembly reads the scaled lengths and corner angles that
 the caller already evaluated at u; it computes no angle itself.  The
 Jacobian has one representation, the CSC matrix that
-:func:`assemble_jacobian` returns, filled into a per-mesh pattern,
-:class:`JacobianPlan`, built on first use and cached on the mesh.
+:func:`assemble_jacobian` returns: a copy, with fresh values, of the pattern
+matrix of the per-mesh :class:`JacobianPlan`, built once, cached on the mesh.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,7 +33,7 @@ class CotangentSingularityError(Exception):
 def tilde_theta(angles: np.ndarray) -> np.ndarray:
     """Half-angle combinations: slot s gets (pi + theta_s - theta_j - theta_k)/2."""
     angles = np.asarray(angles, dtype=float)
-    total = angles.sum(axis=-1, keepdims=True)
+    total = (angles[..., 0] + angles[..., 1] + angles[..., 2])[..., None]
     return 0.5 * (np.pi + 2.0 * angles - total)
 
 
@@ -46,31 +47,35 @@ def lambda_factor(kappa, scaled_length):
 class JacobianPlan:
     """Sparsity pattern of D - Delta_eta on one mesh, fixed by its edges.
 
-    ``indices``/``indptr`` are the CSC pattern: rows sorted within each
-    column, every diagonal entry present, loop edges dropped as in
-    :func:`dcpm.calculus.laplacian_matrix`.  The numeric values are laid out
-    as ``[-w, -w, +w, +w, diag]``, with ``w`` the weights of the non-loop
-    edges (mask ``keep``): the two off-diagonal entries of each edge, its
-    two endpoint diagonals, then D.  ``slot`` sends each value to its nnz
-    position.  Both off-diagonal entries of an edge list its endpoints in
-    the same (low, high) order, so parallel edges sum in edge order on both
-    sides and the matrix is exactly symmetric.
+    ``pattern`` is the CSC matrix of the pattern, with zero values: rows
+    sorted within each column, every diagonal entry present, loop edges
+    dropped as in :func:`dcpm.calculus.laplacian_matrix`.  The numeric
+    values are laid out as ``[-w, -w, +w, +w, diag]``, with ``w`` the
+    weights of the non-loop edges (mask ``keep``): the two off-diagonal
+    entries of each edge, its two endpoint diagonals, then D.  ``slot``
+    sends each value to its nnz position, and ``diag_index`` names the
+    vertex that each (face slot, edge end) of :func:`jacobian_weights` adds
+    to.  Both off-diagonal entries of an edge list its endpoints in the same
+    (low, high) order, so parallel edges sum in edge order on both sides and
+    the matrix is exactly symmetric.
     """
 
     keep: np.ndarray
     slot: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    diag_index: np.ndarray
+    pattern: sp.csc_matrix
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return len(self.pattern.indices)
 
 
 def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
     """The mesh's :class:`JacobianPlan`, built once and cached on the mesh."""
     plan = getattr(mesh, "_jacobian_plan", None)
     if plan is None:
+        import scipy.sparse as sp
+
         n = mesh.vertex_count
         keep = mesh.edges[:, 0] != mesh.edges[:, 1]
         lo = mesh.edges[keep].min(axis=1)
@@ -80,11 +85,14 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
         cols = np.concatenate([hi, lo, lo, hi, vertices])
         keys, slot = np.unique(cols * n + rows, return_inverse=True)
         indptr = np.searchsorted(keys, vertices * n)
+        pattern = sp.csc_matrix((np.zeros(len(keys)), (keys % n).astype(np.int32),
+                                 np.append(indptr, len(keys)).astype(np.int32)),
+                                shape=(n, n))
         plan = JacobianPlan(
-            keep=keep, slot=slot,
-            indices=(keys % n).astype(np.int32),
-            indptr=np.append(indptr, len(keys)).astype(np.int32))
-        for a in (plan.keep, plan.slot, plan.indices, plan.indptr):
+            keep=keep, slot=slot, pattern=pattern,
+            diag_index=mesh.edges[mesh.face_edges.ravel()].T.ravel().astype(np.int32))
+        for a in (keep, slot, plan.diag_index,
+                  pattern.indices, pattern.indptr, pattern.data):
             a.flags.writeable = False
         mesh._jacobian_plan = plan
     return plan
@@ -115,15 +123,15 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
 
     lam = lambda_factor(kappa[:, None], scaled[mesh.face_edges])
     # cotangent opposite to edge slot s is at corner slot s+2
-    cot_opp = np.roll(np.cos(tilde) / np.sin(tilde), 1, axis=1)
+    cot_opp = (np.cos(tilde) / np.sin(tilde))[:, [2, 0, 1]]
 
     eta = np.bincount(mesh.face_edges.ravel(),
                       weights=(0.5 * cot_opp * (1.0 - lam)).ravel(),
                       minlength=mesh.edge_count)
 
     dcontrib = (cot_opp * lam).ravel()
-    edge_ends = mesh.edges[mesh.face_edges.ravel()]
-    diag = np.bincount(edge_ends.T.ravel(), weights=np.tile(dcontrib, 2),
+    diag = np.bincount(jacobian_plan(mesh).diag_index,
+                       weights=np.concatenate((dcontrib, dcontrib)),
                        minlength=mesh.vertex_count)
     return eta, diag
 
@@ -133,14 +141,12 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     """Sparse Jacobian D - Delta_eta at u, filled into the mesh's plan.
 
     The arguments are those of :func:`jacobian_weights`, which gives the
-    values.
+    values; the result shares its index arrays with ``plan.pattern``.
     """
-    import scipy.sparse as sp
-
     eta, diag = jacobian_weights(mesh, kappa, scaled, angles)
     plan = jacobian_plan(mesh)
     w = eta[plan.keep]
     values = np.concatenate([-w, -w, w, w, diag])
-    data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
-    n = mesh.vertex_count
-    return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(n, n))
+    J = copy.copy(plan.pattern)
+    J.data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
+    return J

@@ -144,8 +144,9 @@ def _records(text: str):
 
 
 def ascii_number(kind: type, tok: str):
-    # int() and float() alone also take digit-group underscores and non-ASCII digits
-    if "_" in tok or not tok.isascii():
+    # int() and float() alone also take digit-group underscores, non-ASCII
+    # digits and surrounding whitespace
+    if "_" in tok or not tok.isascii() or tok != tok.strip():
         raise ValueError(f"not an ASCII number: {tok!r}")
     return kind(tok)
 

@@ -129,14 +129,14 @@ def _checked_direction(J, rhs: np.ndarray, d: np.ndarray) -> np.ndarray:
     is raised when the recomputed residual max|J d - rhs| exceeds
     ``LINEAR_RESIDUAL_RTOL * max|rhs|``.
     """
-    rhs_norm = float(np.max(np.abs(rhs)))
+    rhs_norm = float(np.abs(rhs).max())
     if rhs_norm == 0.0:
         return d
-    slope = float(rhs @ d)
+    slope = float(rhs.dot(d))
     if not slope > 0.0:
         raise NotPositiveDefiniteError(
             f"solution is not a descent direction (rhs . d = {slope:.3e})")
-    resid = float(np.max(np.abs(J @ d - rhs)))
+    resid = float(np.abs(J @ d - rhs).max())
     if not resid <= LINEAR_RESIDUAL_RTOL * rhs_norm:
         raise LinearSolveError(
             f"linear solve residual {resid:.3e} exceeds "
@@ -170,26 +170,26 @@ def _preconditioned_cg(J, rhs: np.ndarray, factor,
     search direction p with p . J p <= 0 or a preconditioned residual with
     r . z <= 0, neither of which a positive definite J and factor allow.
     """
-    tol = CG_RTOL * float(np.max(np.abs(rhs)))
+    tol = CG_RTOL * float(np.abs(rhs).max())
     if guess is None:
         d, r = np.zeros_like(rhs), rhs
     else:
         d, r = guess, rhs - J @ guess
     p, rz = np.zeros_like(rhs), 1.0
     for _ in range(CG_MAX_ITERATIONS):
-        if float(np.max(np.abs(r))) <= tol:
+        if float(np.abs(r).max()) <= tol:
             return d
         z = factor.solve(r)
-        rz, rz_old = float(r @ z), rz
+        rz, rz_old = float(r.dot(z)), rz
         p = z + (rz / rz_old) * p
         Jp = J @ p
-        curvature = float(p @ Jp)
+        curvature = float(p.dot(Jp))
         if not (rz > 0.0 and curvature > 0.0):
             return None
         alpha = rz / curvature
         d = d + alpha * p
         r = r - alpha * Jp
-    return d if float(np.max(np.abs(r))) <= tol else None
+    return d if float(np.abs(r).max()) <= tol else None
 
 
 class _HeldFactor:
@@ -248,19 +248,21 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
     return kappa, lengths, u
 
 
-def _evaluate(mesh, kappa, lengths, u):
-    """(u, scaled lengths, corner angles, K): one angle evaluation at u."""
+def _evaluate(mesh, kappa, lengths, u, curvature: bool = True):
+    """(u, scaled lengths, corner angles, K): one angle evaluation at u; K is
+    None when not ``curvature``, at a point that only gives a Jacobian."""
     scaled = scale_lengths(mesh, u, lengths)
     angles = corner_angles(mesh, kappa, scaled)
-    return u, scaled, angles, curvature_from_angles(mesh, angles)
+    return u, scaled, angles, curvature_from_angles(mesh, angles) if curvature else None
 
 
-def _feasible_point(mesh, kappa, lengths, u, message: str):
-    """:func:`_evaluate` u; an infeasible face raises InfeasibleStartError."""
+def _feasible_point(mesh, kappa, lengths, u, message: str, *args, curvature=True):
+    """:func:`_evaluate` u; an infeasible face raises InfeasibleStartError
+    with ``message.format(*args)``, which is formatted only then."""
     try:
-        return _evaluate(mesh, kappa, lengths, u)
+        return _evaluate(mesh, kappa, lengths, u, curvature)
     except InfeasibleFaceError as exc:
-        raise InfeasibleStartError(f"{message}: {exc}") from None
+        raise InfeasibleStartError(f"{message.format(*args)}: {exc}") from None
 
 
 def _start_point(mesh, kappa, lengths, u):
@@ -292,7 +294,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
     del point  # newton_solve's start arrays are freed by the first accepted step
     step_log, used_gradient_fallback = [], False
     for it in range(cfg.max_iterations):
-        if float(np.max(np.abs(K))) <= cfg.tolerance:
+        if float(np.abs(K).max()) <= cfg.tolerance:
             break
 
         try:
@@ -317,10 +319,10 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
             break
 
         u, scaled, angles, K = trial
-        step_log.append((it + 1, float(np.max(np.abs(K))), step,
+        step_log.append((it + 1, float(np.abs(K).max()), step,
                          acuteness_margin(angles)))
 
-    residual_inf = float(np.max(np.abs(K)))
+    residual_inf = float(np.abs(K).max())
     return SolveResult(u=u, residual_inf=residual_inf, iterations=len(step_log),
                        converged=residual_inf <= cfg.tolerance, angles=angles,
                        step_log=step_log,
@@ -346,9 +348,10 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     K0 = point[3]
     held = _HeldFactor()
 
-    def evaluate(u: np.ndarray, t: float):
+    def evaluate(u: np.ndarray, t: float, curvature: bool = True):
         return _feasible_point(mesh, kappa, lengths, u,
-                               f"infeasible configuration at t = {t:.6g}")
+                               "infeasible configuration at t = {:.6g}", t,
+                               curvature=curvature)
 
     d = None  # the last solution of J d = K0, a guess for the next
 
@@ -362,21 +365,21 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     h = 1.0 / cfg.steps
     for n in range(cfg.steps):
         t, u = n * h, point[0]
-        k1 = velocity(point)
-        k2 = velocity(evaluate(u + 0.5 * h * k1, t + 0.5 * h))
-        k3 = velocity(evaluate(u + 0.5 * h * k2, t + 0.5 * h))
-        k4 = velocity(evaluate(u + h * k3, t + h))
+        k1 = velocity(point)  # stages 2-4 need no K
+        k2 = velocity(evaluate(u + 0.5 * h * k1, t + 0.5 * h, False))
+        k3 = velocity(evaluate(u + 0.5 * h * k2, t + 0.5 * h, False))
+        k4 = velocity(evaluate(u + h * k3, t + h, False))
         t = (n + 1) / cfg.steps
         point = evaluate(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t)
         if n + 1 in check_steps:
-            defect = float(np.max(np.abs(point[3] - (1.0 - t) * K0)))
-            checkpoint_log.append((t, float(np.max(np.abs(point[3]))), defect))
+            defect = float(np.abs(point[3] - (1.0 - t) * K0).max())
+            checkpoint_log.append((t, float(np.abs(point[3]).max()), defect))
 
     if cfg.newton_polish:
         result = _newton(mesh, kappa, lengths, point, SolveConfig(), held)
     else:
         u, _, angles, K = point
-        result = SolveResult(u=u, residual_inf=float(np.max(np.abs(K))),
+        result = SolveResult(u=u, residual_inf=float(np.abs(K).max()),
                              iterations=0, converged=False, angles=angles)
     result.linearity_defect = max(d for _, _, d in checkpoint_log)
     result.checkpoint_log = checkpoint_log
@@ -398,6 +401,6 @@ def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
     total = 0.0
     for t, w in zip(0.5 * (nodes + 1.0), weights):
         K = _feasible_point(mesh, kappa, lengths, u_start + t * delta,
-                            f"infeasible point at path parameter {t:.6g}")[3]
+                            "infeasible point at path parameter {:.6g}", t)[3]
         total += 0.5 * w * float(K @ delta)
     return total

@@ -162,6 +162,14 @@ def corner_angle_calls(monkeypatch):
 
 
 @pytest.fixture
+def curvature_calls(monkeypatch):
+    """Calls of ``geometry.curvature_from_angles``, K from evaluated angles."""
+    from dcpm import geometry
+
+    return count_calls(monkeypatch, geometry.curvature_from_angles)
+
+
+@pytest.fixture
 def topology_calls(monkeypatch):
     """Calls of ``mesh.validate_topology``."""
     from dcpm import mesh

@@ -68,7 +68,8 @@ def assert_cli_contract(argv):
 @pytest.fixture
 def cli_paths(tmp_path, octagon1, mesh_file):
     """Placeholders of the exit-code table: input files, {tmp}, an empty
-    output directory, and {nowhere}, a path in a missing directory."""
+    output directory, {nowhere}, a path in a missing directory, and the
+    whitespace that splitting the table's argv would drop."""
     kappa = "".join(f"k {f} -1.1\n" for f in range(octagon1.mesh.face_count))
     texts = {
         "tetra": TETRA_TEXT,
@@ -81,7 +82,8 @@ def cli_paths(tmp_path, octagon1, mesh_file):
         "latin1": "v 14\n# caf\xe9 \xff\n",  # written as Latin-1: not UTF-8
     }
     paths = {"mesh": mesh_file, "tmp": str(tmp_path / "out"),
-             "nowhere": str(tmp_path / "out" / "missing" / "x")}
+             "nowhere": str(tmp_path / "out" / "missing" / "x"),
+             "space": " ", "newline": "\n"}
     (tmp_path / "out").mkdir()
     for name, text in texts.items():
         paths[name] = str(tmp_path / name)
@@ -138,10 +140,19 @@ EXIT_CODES = [
         "const:-1_0", "error: bad curvature literal 'const:-1_0'\n"),
     row("check-kappa-arabic-digit", EXIT_INVALID, "check --mesh {mesh} --kappa "
         "const:-١", "error: bad curvature literal 'const:-١'\n"),
+    row("check-kappa-leading-space", EXIT_INVALID, "check --mesh {mesh} --kappa "
+        "const:{space}-1", "error: bad curvature literal 'const: -1'\n"),
+    row("check-kappa-trailing-newline", EXIT_INVALID, "check --mesh {mesh} "
+        "--kappa const:-1{newline}", "error: bad curvature literal 'const:-1\\n'\n"),
     row("curvature-file-infinite", EXIT_INVALID, f"{SOLVE} {{kinf}}", "finite"),
     row("converge-positive-kappa", EXIT_INVALID, f"{CONVERGE} 2 --kappa const:1"),
     row("converge-curvature-file", EXIT_INVALID, f"{CONVERGE} 1 --kappa "
         "{kappa}", "error: converge supports only const:<value> curvature\n"),
+    # an output file given twice would hold only the last text written to it
+    row("solve-out-is-report", EXIT_INVALID, f"{SOLVE} const:-1 --report "
+        "{tmp}/u", "/out/u' given twice"),
+    row("flow-out-is-trace", EXIT_INVALID, f"{FLOW} 8 --trace {{tmp}}/./u",
+        "given twice"),
     row("solve-missing-mesh", EXIT_INVALID, "solve --mesh {tmp}/nope --kappa "
         "const:-1 --out {tmp}/u", "error: cannot read mesh file: "),
     row("solve-low-genus", EXIT_INVALID, "solve --mesh {tetra} --kappa const:-1 "

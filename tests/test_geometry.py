@@ -7,8 +7,8 @@ from dcpm import geometry
 from dcpm.geometry import (InfeasibleFaceError, acuteness_margin,
                            constant_curvature_edge_length, corner_angles,
                            discrete_curvature, gauss_bonnet_residual,
-                           max_length, model_length, scale_lengths,
-                           triangle_angles)
+                           infeasible_slots, max_length, model_length,
+                           scale_lengths, triangle_angles)
 
 from conftest import make_pillow, random_feasible_instance
 
@@ -151,6 +151,93 @@ def test_infeasible_face_reports_face_id():
     with pytest.raises(InfeasibleFaceError) as exc:
         corner_angles(mesh, np.array([-1.0, -1.0]), lengths)
     assert 0 in exc.value.face_ids
+
+
+# -- bit-identity pins ----------------------------------------------------------
+# The kernels take slot permutations by column index and their three-term
+# sums and maxima column by column; these references keep the np.roll and
+# last-axis-reduction forms they replaced, which must give the same bits.
+
+def infeasible_slots_ref(H):
+    s = H.sum(axis=-1)
+    m = H.max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        return ((m >= (s - m) - geometry.FEASIBILITY_RTOL * m)
+                | ~(s <= geometry.MAX_MODEL_PERIMETER))
+
+
+def triangle_angles_ref(H):
+    H = np.asarray(H, dtype=float)
+    bad = np.atleast_1d(infeasible_slots_ref(H))
+    if bad.any():
+        raise InfeasibleFaceError(np.nonzero(bad)[0])
+    a = np.roll(H, -1, axis=-1)
+    b, c = H, np.roll(H, 1, axis=-1)
+    sa = 0.5 * (-a + b + c)
+    sb = 0.5 * (a - b + c)
+    sc = 0.5 * (a + b - c)
+    s = 0.5 * (a + b + c)
+    sb, sc, s, sa = np.sinh(sb), np.sinh(sc), np.sinh(s), np.sinh(sa)
+    num, den = sb * sc, s * sa
+    tiny = np.minimum(num, den) < np.finfo(float).tiny
+    if tiny.any():
+        num[tiny] = (sb[tiny] / s[tiny]) * (sc[tiny] / sa[tiny])
+        den[tiny] = 1.0
+    return 2.0 * np.arctan(np.sqrt(np.maximum(num / den, 0.0)))
+
+
+def assert_kernels_match_reference(H):
+    assert np.array_equal(infeasible_slots(H), infeasible_slots_ref(H))
+    try:
+        expected = triangle_angles_ref(H)
+    except InfeasibleFaceError as exc:
+        with pytest.raises(InfeasibleFaceError) as got:
+            triangle_angles(H)
+        assert got.value.face_ids == exc.face_ids
+    else:
+        assert np.array_equal(triangle_angles(H), expected)
+
+
+# the (3,) and (2, 3) inputs of the angle tests above
+@pytest.mark.parametrize("H", [
+    [1.0, 1.0, 1.0], [1e-4, 1e-4, 1e-4], [0.7, 0.9, 1.1], [1e-300, 9e-301, 1.1e-300],
+    [[0.7, 0.9, 1.1], [7e-201, 9e-201, 1.1e-200]], [2.2, 1.0, 1.0],
+    [1.0, 1.5, 1.0], [0.8, 1.1726816346617717, 0.6], [np.inf, 1.0, 1.0]])
+def test_kernels_match_reference_on_small_shapes(H):
+    assert_kernels_match_reference(np.array(H))
+
+
+def test_infeasible_slots_matches_reference_at_the_boundary():
+    # the longest side swept ulp by ulp across the feasibility threshold, in
+    # each slot: there the mask depends on the last bit of the sum
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0.1, 2.0, (2, 50, 1))
+    c = (a + b) / (1 + geometry.FEASIBILITY_RTOL) * (1 + np.arange(-64, 65) * 2.0**-52)
+    rows = np.stack(np.broadcast_arrays(a, b, c), axis=-1).reshape(-1, 3)
+    H = np.concatenate([rows, rows[:, [1, 2, 0]], rows[:, [2, 0, 1]]])
+    expected = infeasible_slots_ref(H)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(infeasible_slots(H), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_kernels_match_reference_on_feasible_instances(octagon_levels, level, seed):
+    m = octagon_levels[level]
+    kappa, u = random_feasible_instance(m, np.random.default_rng(seed))
+    scaled = scale_lengths(m.mesh, u, m.lengths)
+    H = model_length(kappa[:, None], scaled[m.mesh.face_edges])
+    assert_kernels_match_reference(H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kernels_match_reference_on_any_lengths(seed):
+    # rows of any scale, feasible or not, tiny or past the sinh range
+    rng = np.random.default_rng(seed)
+    H = rng.exponential(size=(50, 3)) * 10.0 ** rng.uniform(-300, 300, (50, 1))
+    assert_kernels_match_reference(H)
+    assert_kernels_match_reference(H[~infeasible_slots_ref(H)])
 
 
 # -- curvature ----------------------------------------------------------------

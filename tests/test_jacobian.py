@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcpm.calculus import laplacian_matrix
-from dcpm.geometry import model_length, triangle_angles
+from dcpm.geometry import corner_angles, model_length, scale_lengths, triangle_angles
 from dcpm.jacobian import (CotangentSingularityError, jacobian_plan,
-                           lambda_factor, tilde_theta)
+                           jacobian_weights, lambda_factor, tilde_theta)
 
 from conftest import fd_jacobian, jacobian_at, random_feasible_instance, weights_at
 
@@ -144,3 +146,98 @@ def test_jacobian_row_sums_equal_diag_weighted(octagon1):
     J = jacobian_at(octagon1.mesh, kappa, u, octagon1.lengths).toarray()
     _, diag = weights_at(octagon1.mesh, kappa, u, octagon1.lengths)
     np.testing.assert_allclose(J.sum(axis=1), diag, atol=1e-13)
+
+
+# -- bit-identity pins ----------------------------------------------------------
+# References in the np.roll and last-axis-sum forms that the kernels replaced,
+# and the CSC matrix built by the constructor, as assembly did before it
+# copied the plan's pattern; the kernels and assembly must give the same bits.
+
+def tilde_theta_ref(angles):
+    angles = np.asarray(angles, dtype=float)
+    total = angles.sum(axis=-1, keepdims=True)
+    return 0.5 * (np.pi + 2.0 * angles - total)
+
+
+def jacobian_weights_ref(mesh, kappa, scaled, angles):
+    tilde = tilde_theta_ref(angles)
+    lam = lambda_factor(kappa[:, None], scaled[mesh.face_edges])
+    cot_opp = np.roll(np.cos(tilde) / np.sin(tilde), 1, axis=1)
+    eta = np.bincount(mesh.face_edges.ravel(),
+                      weights=(0.5 * cot_opp * (1.0 - lam)).ravel(),
+                      minlength=mesh.edge_count)
+    dcontrib = (cot_opp * lam).ravel()
+    edge_ends = mesh.edges[mesh.face_edges.ravel()]
+    diag = np.bincount(edge_ends.T.ravel(), weights=np.tile(dcontrib, 2),
+                       minlength=mesh.vertex_count)
+    return eta, diag
+
+
+def jacobian_ref(mesh, kappa, scaled, angles):
+    import scipy.sparse as sp
+
+    eta, diag = jacobian_weights_ref(mesh, kappa, scaled, angles)
+    plan = jacobian_plan(mesh)
+    w = eta[plan.keep]
+    data = np.bincount(plan.slot, weights=np.concatenate([-w, -w, w, w, diag]),
+                       minlength=plan.nnz)
+    n = mesh.vertex_count
+    return sp.csc_matrix((data, plan.pattern.indices, plan.pattern.indptr),
+                         shape=(n, n))
+
+
+def assert_same_csc(J, ref):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(J, name), getattr(ref, name)), name
+    assert J.shape == ref.shape and J.format == "csc"
+
+
+def evaluated(m, seed):
+    """kappa, scaled lengths and angles of a random feasible instance."""
+    kappa, u = random_feasible_instance(m, np.random.default_rng(seed))
+    scaled = scale_lengths(m.mesh, u, m.lengths)
+    return kappa, scaled, corner_angles(m.mesh, kappa, scaled)
+
+
+# the (3,) and (2, 3) shapes of the angle tests
+@pytest.mark.parametrize("angles", [
+    [EQUILATERAL_H1_ANGLE] * 3, [0.3, 0.5, 1.2],
+    [[0.3, 0.5, 1.2], [1e-9, 2e-9, 3.1]]])
+def test_tilde_theta_matches_reference_on_small_shapes(angles):
+    assert np.array_equal(tilde_theta(np.array(angles)),
+                          tilde_theta_ref(np.array(angles)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_weights_and_assembly_match_reference(octagon_levels, level, seed):
+    from dcpm.jacobian import assemble_jacobian
+
+    m = octagon_levels[level]
+    kappa, scaled, angles = evaluated(m, seed)
+    assert np.array_equal(tilde_theta(angles), tilde_theta_ref(angles))
+    for got, want in zip(jacobian_weights(m.mesh, kappa, scaled, angles),
+                         jacobian_weights_ref(m.mesh, kappa, scaled, angles)):
+        assert np.array_equal(got, want)
+    assert_same_csc(assemble_jacobian(m.mesh, kappa, scaled, angles),
+                    jacobian_ref(m.mesh, kappa, scaled, angles))
+
+
+def test_assemblies_own_their_values(octagon2):
+    # each call copies the plan's pattern and gives the copy its own data
+    from dcpm.jacobian import assemble_jacobian
+
+    m = octagon2
+    plan = jacobian_plan(m.mesh)
+    pattern_data = plan.pattern.data.copy()
+    args = (m.mesh, *evaluated(m, 7))
+    J1, J2 = assemble_jacobian(*args), assemble_jacobian(*args)
+    ref = jacobian_ref(*args)
+    assert J1 is not J2 and plan.pattern is not J1 and plan.pattern is not J2
+    assert not np.shares_memory(J1.data, J2.data)
+    for J in (J1, J2):
+        assert not np.shares_memory(J.data, plan.pattern.data)
+        assert_same_csc(J, ref)
+    J1.data[:] = -1.0
+    assert_same_csc(J2, ref)
+    assert np.array_equal(plan.pattern.data, pattern_data)

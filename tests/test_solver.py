@@ -384,6 +384,18 @@ def test_flow_l2_angle_evaluations(octagon2, corner_angle_calls):
     assert len(corner_angle_calls) == 1 + 4 * 250 == 1001
 
 
+def test_flow_l2_curvature_evaluations(octagon2, curvature_calls):
+    # the flow-l2 benchmark op reads K at the start and at each step's end;
+    # RK4 stages 2-4 need only their Jacobians
+    m = octagon2
+    kappa = models.dual_distance_kappa(m.mesh, 0.5)
+    u0 = np.random.default_rng(1).normal(0.0, 0.05, m.mesh.vertex_count)
+    result = continuation_solve(m.mesh, kappa, m.lengths, u0,
+                                ContinuationConfig(steps=250))
+    assert result.converged and result.iterations == 0
+    assert len(curvature_calls) == 1 + 250 == 251
+
+
 # -- held factor --------------------------------------------------------------
 
 def newton_refactoring_every_step(mesh, kappa, lengths, cfg=None):
