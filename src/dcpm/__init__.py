@@ -2,10 +2,10 @@
 
 from .calculus import (EllipticReport, Graph, divergence, elliptic_estimate_check,
                        gradient, isoperimetric_constant, laplacian_apply,
-                       laplacian_matrix, perimeter_area)
+                       laplacian_matrix)
 from .geometry import (InfeasibleFaceError, acuteness_margin, constant_curvature_edge_length,
-                       corner_angles, discrete_curvature, gauss_bonnet_residual,
-                       max_length, model_length, scale_lengths)
+                       corner_angles, discrete_curvature, evaluate_point,
+                       gauss_bonnet_residual, max_length, model_length, scale_lengths)
 from .jacobian import (CotangentSingularityError, assemble_jacobian, jacobian_weights,
                        lambda_factor, tilde_theta)
 from .mesh import (MeshError, SurfaceMesh, TopologyReport, dump_mesh,

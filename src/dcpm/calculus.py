@@ -78,38 +78,25 @@ def laplacian_matrix(graph, eta: np.ndarray) -> sp.csr_matrix:
     return (off + sp.diags(diag, format="csr")).tocsr()
 
 
-def perimeter_area(graph, lengths: np.ndarray,
-                   subset) -> tuple[float, float, float]:
-    """(perimeter, area, total area) of a vertex subset.
-
-    Perimeter sums lengths of edges with exactly one endpoint inside; area
-    sums squared lengths of edges with both endpoints inside; total area is
-    the sum of all squared lengths.
-    """
-    inside = np.zeros(graph.vertex_count, dtype=bool)
-    inside[list(subset)] = True
-    a_in = inside[graph.edges[:, 0]]
-    b_in = inside[graph.edges[:, 1]]
-    lengths = np.asarray(lengths, dtype=float)
-    perimeter = float(lengths[a_in ^ b_in].sum())
-    area = float((lengths[a_in & b_in] ** 2).sum())
-    total = float((lengths ** 2).sum())
-    return perimeter, area, total
+def _require_connected(graph) -> None:
+    if vertex_components(graph.vertex_count, graph.edges).any():
+        raise ValueError("graph is disconnected")
 
 
 def isoperimetric_constant(graph, lengths: np.ndarray) -> float:
     """Smallest C with min{|V0|, |V|-|V0|} <= C*|boundary V0|^2 for all V0.
 
-    Exhaustive over all proper nonempty vertex subsets; exact but
-    exponential, so capped at ``ISOPERIMETRIC_VERTEX_CAP`` vertices.
+    |boundary V0| sums the lengths of edges with exactly one endpoint in V0,
+    |V0| the squared lengths of edges with both endpoints in V0, and |V| all
+    squared lengths.  Exhaustive over all proper nonempty vertex subsets;
+    exact but exponential, so capped at ``ISOPERIMETRIC_VERTEX_CAP`` vertices.
     """
     n = graph.vertex_count
     if n > ISOPERIMETRIC_VERTEX_CAP:
         raise ValueError(
             f"isoperimetric enumeration capped at {ISOPERIMETRIC_VERTEX_CAP} "
             f"vertices (got {n})")
-    if vertex_components(n, graph.edges).any():
-        raise ValueError("graph is disconnected")
+    _require_connected(graph)
     lengths = np.asarray(lengths, dtype=float)
     total = float((lengths ** 2).sum())
     a, b = graph.edges[:, 0], graph.edges[:, 1]
@@ -118,11 +105,11 @@ def isoperimetric_constant(graph, lengths: np.ndarray) -> float:
     best = 0.0
     for start in range(1, (1 << n) - 1, ISOPERIMETRIC_CHUNK):
         stop = min(start + ISOPERIMETRIC_CHUNK, (1 << n) - 1)
-        masks = np.arange(start, stop, dtype=np.int64)
-        a_in = (masks[:, None] >> a[None, :]) & 1
-        b_in = (masks[:, None] >> b[None, :]) & 1
-        perim = ((a_in ^ b_in) * l1[None, :]).sum(axis=1)
-        area = ((a_in & b_in) * l2[None, :]).sum(axis=1)
+        # row i: the vertex set of mask start + i; np.take keeps rows C-ordered
+        inside = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
+        a_in, b_in = np.take(inside, a, axis=1), np.take(inside, b, axis=1)
+        perim = ((a_in ^ b_in) * l1).sum(axis=1)
+        area = ((a_in & b_in) * l2).sum(axis=1)
         ratio = np.minimum(area, total - area) / perim ** 2
         best = max(best, float(ratio.max()))
     return best
@@ -158,13 +145,17 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
     Part 1 solves Delta_eta h = div(x) (mean-zero representative, since the
     solution is defined up to constants: the gauge is pinned at vertex 0 for
     the sparse solve, then h is re-centred) and compares |h|_inf against
-    (4*c2*sqrt(c1+1)/c3) * |l| * |V|_l^(1/2).  If ``y``/``diag``/``c4`` are
-    given, part 2 solves (D - Delta_eta) w = div(x) + y and compares against
-    (c4 + 8*c2*sqrt(c1+1)/c3) * |l| * |V|_l^(1/2).
+    (4*c2*sqrt(c1+1)/c3) * |l| * |V|_l^(1/2).  If ``y``, ``diag`` and ``c4``
+    are given (all three or none), part 2 solves (D - Delta_eta) w =
+    div(x) + y and compares against (c4 + 8*c2*sqrt(c1+1)/c3) * |l| *
+    |V|_l^(1/2).
 
-    Raises ``ValueError`` on a disconnected graph and
-    ``numpy.linalg.LinAlgError`` when a system is singular.
+    Raises ``ValueError`` on a disconnected graph or when only some of the
+    part-2 inputs are given, and ``numpy.linalg.LinAlgError`` when a system
+    is singular.
     """
+    if len({y is None, diag is None, c4 is None}) > 1:
+        raise ValueError("y, diag and c4 must be given together")
     lengths = np.asarray(lengths, dtype=float)
     eta = np.asarray(eta, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -177,8 +168,7 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
     linf = float(np.max(np.abs(lengths)))
     area_half = float(np.sqrt((lengths ** 2).sum()))
     rhs = divergence(graph, x)
-    if vertex_components(graph.vertex_count, graph.edges).any():
-        raise ValueError("graph is disconnected")
+    _require_connected(graph)
 
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -197,8 +187,6 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
                             ratio=sol1 / bound1 if bound1 > 0 else np.inf)
 
     if y is not None:
-        if diag is None or c4 is None:
-            raise ValueError("y requires diag and c4")
         y = np.asarray(y, dtype=float)
         diag = np.asarray(diag, dtype=float)
         if (diag < 0).any() or not diag.any():

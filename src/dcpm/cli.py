@@ -5,12 +5,13 @@ are printed with 17 significant digits so runs diff byte-for-byte.
 
 Each ``cmd_*`` only computes and returns (exit code, report, {path: text}).
 :func:`main` checks every output path before the command reads its inputs,
-so an unwritable one exits 2 with nothing written; then it writes the files
-in order, the report file last, prints the report and maps the exit code:
-0 success, 2 parse/validation error or a file that cannot be read or
-written, 3 infeasible configuration, 4 non-convergence (outputs still
-written; for ``converge``, a level that did not converge) or a failed linear
-solve (nothing written).  2, 3 and 4 write one ``error:`` line to stderr.
+so one that is unwritable or names an input file exits 2 with nothing
+written; then it writes the files in order, the report file last, prints
+the report and maps the exit code: 0 success, 2 parse/validation error or
+a file that cannot be read or written, 3 infeasible configuration, 4
+non-convergence (outputs still written; for ``converge``, a level that did
+not converge) or a failed linear solve (nothing written).  2, 3 and 4
+write one ``error:`` line to stderr.
 A malformed command line is a ``CliError`` too: the parser raises it instead
 of printing its usage and exiting, so it leaves through :func:`main`.
 
@@ -71,19 +72,23 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write file: {exc}")
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Raise CliError unless the given output paths are distinct files (by
-    ``os.path.realpath``) that can each be opened for writing, so that a
-    command fails before it reads, solves or writes.
+def _check_writable(outputs, inputs) -> None:
+    """Raise CliError unless the given output paths are distinct files, none
+    of them an input file (all compared by ``os.path.realpath``), that can
+    each be opened for writing, so that a command fails before it reads,
+    solves or writes.
 
     Each path is opened for appending and closed, which changes no file; one
-    that did not exist is removed again.
+    that did not exist is removed again.  ``None`` stands for a path not given.
     """
-    paths = [p for p in paths if p]
+    paths = [p for p in outputs if p]
     real = [os.path.realpath(p) for p in paths]
+    read = {os.path.realpath(p) for p in inputs if p}
     for i, path in enumerate(paths):
         if real[i] in real[:i]:
             raise CliError(f"output file {path!r} given twice")
+        if real[i] in read:
+            raise CliError(f"output file {path!r} is an input file")
     for path in paths:
         existed = os.path.lexists(path)
         try:
@@ -266,32 +271,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prescribed negative curvature on closed triangulated "
                     "surfaces via discrete conformal factors")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    shared = _Parser(add_help=False)  # the options of every command on a mesh
+    shared.add_argument("--mesh", required=True)
+    shared.add_argument("--report", default=None)
 
-    p = sub.add_parser("solve", help="Newton solve for K(u) = 0")
-    p.add_argument("--mesh", required=True)
+    p = sub.add_parser("solve", parents=[shared], help="Newton solve for K(u) = 0")
     p.add_argument("--kappa", required=True,
                    help="const:<negative value> or curvature file")
     p.add_argument("--tol", type=float, default=SolveConfig.tolerance)
     p.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations)
     p.add_argument("--out", default="u.out")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("flow", help="continuation ODE solve")
-    p.add_argument("--mesh", required=True)
+    p = sub.add_parser("flow", parents=[shared], help="continuation ODE solve")
     p.add_argument("--kappa", required=True)
     p.add_argument("--steps", type=int, default=ContinuationConfig.steps)
     p.add_argument("--no-polish", dest="polish", action="store_false")
     p.add_argument("--trace", default=None)
     p.add_argument("--out", default="u.out")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("check", help="topology/feasibility diagnostics")
-    p.add_argument("--mesh", required=True)
+    p = sub.add_parser("check", parents=[shared],
+                       help="topology/feasibility diagnostics")
     p.add_argument("--kappa", default="const:-1")
     p.add_argument("--isoperimetric", action="store_true")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate model fixtures")
@@ -311,9 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_writable(*map(vars(args).get, ("trace", "out", "report")))
+        given = vars(args).get
+        kappa = given("kappa", "")  # a kappa that is not const:<value> is a file
+        _check_writable(map(given, ("trace", "out", "report")),
+                        (given("mesh"), None if kappa.startswith("const:") else kappa))
         code, report, files = args.func(args)
-        files[vars(args).get("report")] = _report_text(report, _VOLATILE_KEYS)
+        files[given("report")] = _report_text(report, _VOLATILE_KEYS)
         for path, text in files.items():
             if path:  # None: an optional output that was not asked for
                 _write(path, text)

@@ -126,11 +126,19 @@ def curvature_from_angles(mesh: SurfaceMesh, angles: np.ndarray) -> np.ndarray:
     return K
 
 
+def evaluate_point(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
+                   lengths: np.ndarray, curvature: bool = True):
+    """(u, scaled lengths, corner angles, K): one angle evaluation at u; K is
+    None when not ``curvature``, at a point that only gives a Jacobian."""
+    scaled = scale_lengths(mesh, u, lengths)
+    angles = corner_angles(mesh, kappa, scaled)
+    return u, scaled, angles, curvature_from_angles(mesh, angles) if curvature else None
+
+
 def discrete_curvature(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
                        lengths: np.ndarray) -> np.ndarray:
     """Generalized discrete curvature K_i = 2*pi - sum of corner angles at i."""
-    return curvature_from_angles(
-        mesh, corner_angles(mesh, kappa, scale_lengths(mesh, u, lengths)))
+    return evaluate_point(mesh, kappa, u, lengths)[3]
 
 
 def acuteness_margin(angles: np.ndarray) -> float:

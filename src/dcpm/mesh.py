@@ -88,6 +88,10 @@ class SurfaceMesh:
         if (slot_count < 2).any():
             eid = self.edge_ids[np.argmax(slot_count < 2)]
             raise MeshError(f"dangling edge {eid}: not used by exactly 2 face slots")
+        unsigned = (np.abs(self.face_signs) != 1).any(axis=1)
+        if unsigned.any():
+            raise MeshError(f"face {self.face_ids[np.argmax(unsigned)]}: "
+                            "edge signs must be +1 or -1")
 
         # Corner s = tail of directed edge s; check head-to-tail chaining.
         tails = np.where(self.face_signs > 0,

@@ -118,8 +118,8 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
     # corner face 4f+s: the half of side s leaving corner s, the inner edge
     # across the corner, the half of side s-1 arriving at corner s; then the
     # inner face 4f+3
-    forward = mesh.face_signs > 0
-    sign = np.where(forward, 1, -1)
+    sign = mesh.face_signs
+    forward = sign > 0
     out_half = 2 * fe + ~forward
     in_half = np.roll(2 * fe + forward, 1, axis=1)
     inner = 2 * E + np.arange(3 * F).reshape(F, 3)

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
-                       curvature_from_angles, scale_lengths)
+from .geometry import InfeasibleFaceError, acuteness_margin, evaluate_point
 from .jacobian import CotangentSingularityError, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
@@ -216,13 +215,13 @@ class _HeldFactor:
         return d
 
 
-def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
-    """Return ``(kappa, lengths, u)`` as the float arrays the solvers use.
+def validate_inputs(mesh: SurfaceMesh, kappa, lengths, *us):
+    """Return ``(kappa, lengths, *us)`` as the float arrays the solvers use.
 
     Raises :class:`SolverInputError` unless the mesh is ``solver_eligible``
     (:func:`validate_topology`) and the inputs are real: ``kappa`` (F,)
-    finite and negative, ``lengths`` (E,) finite and positive, ``u`` (V,)
-    finite.  ``u`` is copied, float64 ``kappa`` and ``lengths`` are not.
+    finite and negative, ``lengths`` (E,) finite and positive, each ``u``
+    (V,) finite.  Each ``u`` is copied, float64 ``kappa`` and ``lengths`` not.
     """
     report = validate_topology(mesh)
     if not report.solver_eligible:
@@ -232,12 +231,12 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
     try:  # a same-kind cast: complex or text input is an error, not truncated
         kappa, lengths = (np.asarray(a).astype(float, casting="same_kind", copy=False)
                           for a in (kappa, lengths))
-        u = np.asarray(u).astype(float, casting="same_kind")
+        us = [np.asarray(u).astype(float, casting="same_kind") for u in us]
     except (TypeError, ValueError) as exc:
         raise SolverInputError(f"inputs must be arrays of real numbers: {exc}") from None
     for name, value, n, sign in (("kappa", kappa, mesh.face_count, -1),
                                  ("lengths", lengths, mesh.edge_count, 1),
-                                 ("u", u, mesh.vertex_count, 0)):
+                                 *(("u", u, mesh.vertex_count, 0) for u in us)):
         if value.shape != (n,):
             raise SolverInputError(f"{name} has shape {value.shape}, expected ({n},)")
         if not np.isfinite(value).all():
@@ -245,22 +244,14 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
         if sign and not (np.sign(value) == sign).all():
             raise SolverInputError(
                 f"{name} must be strictly {'negative' if sign < 0 else 'positive'}")
-    return kappa, lengths, u
-
-
-def _evaluate(mesh, kappa, lengths, u, curvature: bool = True):
-    """(u, scaled lengths, corner angles, K): one angle evaluation at u; K is
-    None when not ``curvature``, at a point that only gives a Jacobian."""
-    scaled = scale_lengths(mesh, u, lengths)
-    angles = corner_angles(mesh, kappa, scaled)
-    return u, scaled, angles, curvature_from_angles(mesh, angles) if curvature else None
+    return (kappa, lengths, *us)
 
 
 def _feasible_point(mesh, kappa, lengths, u, message: str, *args, curvature=True):
-    """:func:`_evaluate` u; an infeasible face raises InfeasibleStartError
-    with ``message.format(*args)``, which is formatted only then."""
+    """:func:`~dcpm.geometry.evaluate_point` at u; an infeasible face raises
+    InfeasibleStartError with ``message.format(*args)``, formatted only then."""
     try:
-        return _evaluate(mesh, kappa, lengths, u, curvature)
+        return evaluate_point(mesh, kappa, u, lengths, curvature)
     except InfeasibleFaceError as exc:
         raise InfeasibleStartError(f"{message.format(*args)}: {exc}") from None
 
@@ -288,7 +279,7 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
 
 def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
             held: _HeldFactor) -> SolveResult:
-    """The iteration of :func:`newton_solve`, from an :func:`_evaluate` point,
+    """The iteration of :func:`newton_solve`, from an evaluated point,
     solving its systems through ``held``."""
     u, scaled, angles, K = point
     del point  # newton_solve's start arrays are freed by the first accepted step
@@ -309,7 +300,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:  # an infeasible trial point backtracks like an insufficient one
-                trial = _evaluate(mesh, kappa, lengths, u + step * d)
+                trial = evaluate_point(mesh, kappa, u + step * d, lengths)
                 if np.linalg.norm(trial[3]) <= (1.0 - BACKTRACK_SLOPE * step) * norm2:
                     break
             except InfeasibleFaceError:
@@ -395,12 +386,12 @@ def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
     for the underlying energy (its gradient is K, its Hessian symmetric).
     Inputs pass :func:`validate_inputs`; an infeasible node raises InfeasibleStartError.
     """
-    kappa, lengths, u_start = validate_inputs(mesh, kappa, lengths, u_start)
-    delta = validate_inputs(mesh, kappa, lengths, u_end)[2] - u_start
+    kappa, lengths, u, u_end = validate_inputs(mesh, kappa, lengths, u_start, u_end)
+    delta = u_end - u
     nodes, weights = np.polynomial.legendre.leggauss(32)
     total = 0.0
     for t, w in zip(0.5 * (nodes + 1.0), weights):
-        K = _feasible_point(mesh, kappa, lengths, u_start + t * delta,
+        K = _feasible_point(mesh, kappa, lengths, u + t * delta,
                             "infeasible point at path parameter {:.6g}", t)[3]
         total += 0.5 * w * float(K @ delta)
     return total

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dcpm.calculus import (Graph, divergence, elliptic_estimate_check, gradient,
                            isoperimetric_constant, laplacian_apply,
-                           laplacian_matrix, perimeter_area)
+                           laplacian_matrix)
 
 
 def path2():
@@ -163,24 +163,7 @@ def test_loops_are_inert(octagon0):
     np.testing.assert_array_equal(L, [[-8.0, 8.0], [8.0, -8.0]])
 
 
-# -- perimeter / area / isoperimetry ------------------------------------------
-
-def test_perimeter_area_empty():
-    g = cycle4()
-    assert perimeter_area(g, np.ones(4), []) == (0.0, 0.0, 4.0)
-
-
-def test_perimeter_area_singleton():
-    g = cycle4()
-    per, area, total = perimeter_area(g, np.ones(4), [0])
-    assert (per, area, total) == (2.0, 0.0, 4.0)
-
-
-def test_perimeter_area_adjacent_pair():
-    g = cycle4()
-    per, area, total = perimeter_area(g, np.ones(4), [0, 1])
-    assert (per, area, total) == (2.0, 1.0, 4.0)
-
+# -- isoperimetry ------------------------------------------------------------
 
 def test_isoperimetric_cycle4():
     # the extremal subset is any 3 vertices: min(2, 2) / 2^2
@@ -189,6 +172,12 @@ def test_isoperimetric_cycle4():
 
 def test_isoperimetric_single_edge():
     assert isoperimetric_constant(path2(), np.ones(1)) == 0.0
+
+
+def test_isoperimetric_octagon_values(octagon0, octagon1):
+    # the values `check --isoperimetric` reports, to the last bit
+    assert isoperimetric_constant(octagon0.mesh, octagon0.lengths) == 0.0974378846673585
+    assert isoperimetric_constant(octagon1.mesh, octagon1.lengths) == 0.1875000000000001
 
 
 def test_isoperimetric_relabel_invariant():
@@ -286,10 +275,53 @@ def test_elliptic_flow_precondition_violation(octagon1):
     assert not report.passed
 
 
+def test_elliptic_weight_precondition_violation(octagon1):
+    mesh = octagon1.mesh
+    eta = np.ones(mesh.edge_count)
+    eta[0] = 0.5
+    report = elliptic_estimate_check(mesh, octagon1.lengths, eta,
+                                     np.zeros(mesh.edge_count), 1.0, 1.0, 1.0)
+    assert report.precondition_violations == [
+        "edge weights below the lower bound c3"]
+    assert not report.passed
+
+
+def test_elliptic_source_precondition_violation(octagon1):
+    mesh = octagon1.mesh
+    V = mesh.vertex_count
+    lengths = octagon1.lengths
+    c4, diag = 1.0, np.ones(V)
+    y = np.zeros(V)
+    y[0] = 2.0 * c4 * float(lengths.max()) * float(np.sqrt((lengths ** 2).sum()))
+    report = elliptic_estimate_check(mesh, lengths, np.ones(mesh.edge_count),
+                                     np.zeros(mesh.edge_count), 1.0, 1.0, 1.0,
+                                     y=y, diag=diag, c4=c4)
+    assert report.precondition_violations == [
+        "y exceeds c4 * D_ii * |l| * |V|_l^(1/2)"]
+    assert report.second_ratio is not None
+    assert not report.passed
+
+
+@pytest.mark.parametrize("given", [
+    ("diag", "c4"), ("y",), ("y", "diag"), ("y", "c4"), ("diag",), ("c4",)])
+def test_elliptic_part2_inputs_go_together(octagon1, given):
+    # diag = 0 would make part 2 singular: ignoring it would pass silently
+    mesh = octagon1.mesh
+    V, E = mesh.vertex_count, mesh.edge_count
+    part2 = {"y": np.zeros(V), "diag": np.zeros(V), "c4": 1.0}
+    with pytest.raises(ValueError, match="^y, diag and c4 must be given together$"):
+        elliptic_estimate_check(mesh, octagon1.lengths, np.ones(E), np.zeros(E),
+                                1.0, 1.0, 1.0, **{k: part2[k] for k in given})
+
+
 def test_elliptic_guards():
     with pytest.raises(ValueError, match="disconnected"):
         elliptic_estimate_check(Graph(4, np.array([[0, 1], [2, 3]])),
                                 np.ones(2), np.ones(2), np.zeros(2),
+                                1.0, 1.0, 1.0)
+    # eta = 0 leaves Delta = 0, singular even with the gauge pinned
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular system \(Delta\)"):
+        elliptic_estimate_check(path2(), np.ones(1), np.zeros(1), np.zeros(1),
                                 1.0, 1.0, 1.0)
     # D = 0 leaves the Laplacian, whose LU factor is exactly singular here
     with pytest.raises(np.linalg.LinAlgError, match="singular system"):

@@ -153,6 +153,15 @@ EXIT_CODES = [
         "{tmp}/u", "/out/u' given twice"),
     row("flow-out-is-trace", EXIT_INVALID, f"{FLOW} 8 --trace {{tmp}}/./u",
         "given twice"),
+    # an output file that names an input would replace it
+    row("solve-out-is-mesh", EXIT_INVALID, "solve --mesh {mesh} --kappa const:-1 "
+        "--out {mesh}", "/octagon1.mesh' is an input file"),
+    row("solve-report-is-kappa", EXIT_INVALID, f"{SOLVE} {{kappa}} --report "
+        "{kappa}", "/kappa' is an input file"),
+    row("check-report-is-mesh", EXIT_INVALID, "check --mesh {mesh} --report "
+        "{tmp}/../octagon1.mesh", "/out/../octagon1.mesh' is an input file"),
+    row("flow-trace-is-mesh", EXIT_INVALID, f"{FLOW} 8 --trace {{mesh}}",
+        "/octagon1.mesh' is an input file"),
     row("solve-missing-mesh", EXIT_INVALID, "solve --mesh {tmp}/nope --kappa "
         "const:-1 --out {tmp}/u", "error: cannot read mesh file: "),
     row("solve-low-genus", EXIT_INVALID, "solve --mesh {tetra} --kappa const:-1 "
@@ -196,6 +205,8 @@ FILE_ERRORS = [row(id, EXIT_INVALID, argv, "error: cannot ") for id, argv in [
 
 @pytest.mark.parametrize("argv, code, err, report, written", EXIT_CODES)
 def test_exit_code(cli_paths, argv, code, err, report, written):
+    inputs = {p: Path(p).read_bytes() for p in cli_paths.values()
+              if Path(p).is_file()}
     got_code, out, got_err = assert_cli_contract(
         [word.format(**cli_paths) for word in argv.split()])
     assert got_code == code, got_err
@@ -203,6 +214,8 @@ def test_exit_code(cli_paths, argv, code, err, report, written):
     assert (out == "") if report is None else (report in out)
     left = sorted(p.name for p in Path(cli_paths["tmp"]).rglob("*"))
     assert left == sorted(written)
+    # no command writes to an input file
+    assert {p: Path(p).read_bytes() for p in inputs} == inputs
 
 
 @pytest.mark.parametrize("argv, code, err, report, written", FILE_ERRORS)
@@ -476,6 +489,24 @@ def test_flow_no_polish(tmp_path, mesh_file, capsys):
     report = parse_report(capsys.readouterr().out)
     assert report["converged"] == "False"
     assert float(report["linearity_defect"]) <= 1e-6
+
+
+def test_flow_polish_non_convergence_exits_4(tmp_path, mesh_file, capsys,
+                                             monkeypatch):
+    # a polish that can take no step ends unconverged: exit 4, with the
+    # flow's end point and the report still written
+    import dcpm.solver
+
+    monkeypatch.setattr(dcpm.solver, "MAX_BACKTRACKS", 0)
+    out, report_path = tmp_path / "u", tmp_path / "r"
+    assert main(["flow", "--mesh", mesh_file, "--kappa", "const:-1",
+                 "--steps", "1", "--out", str(out),
+                 "--report", str(report_path)]) == EXIT_NO_CONVERGENCE
+    captured = capsys.readouterr()
+    assert captured.err == NOT_CONVERGED
+    assert parse_report(captured.out)["converged"] == "False"
+    assert len(read_u(out)) == 14
+    assert parse_report(report_path.read_text())["converged"] == "False"
 
 
 def test_flow_checkpoints_at_step_times(tmp_path, mesh_file, capsys):

@@ -197,6 +197,18 @@ def test_surface_mesh_bounds_edge_endpoints(tetra, endpoint):
                     mesh.edge_ids, mesh.face_ids)
 
 
+@pytest.mark.parametrize("face, slot, sign", [(0, 1, 2), (2, 0, 0), (3, 2, -2)])
+def test_surface_mesh_takes_signs_of_one(tetra, face, slot, sign):
+    # a sign of 2 used to walk its edge as +1 does and surface only as an
+    # orientation defect of validate_topology
+    mesh, _ = tetra
+    signs = mesh.face_signs.copy()
+    signs[face, slot] = sign
+    with pytest.raises(MeshError, match=rf"^face {face}: edge signs must be \+1 or -1$"):
+        SurfaceMesh(mesh.vertex_count, mesh.edges, mesh.face_edges, signs,
+                    mesh.edge_ids, mesh.face_ids)
+
+
 def test_surface_mesh_compares_by_identity(tetra, octagon1):
     # a generated __eq__ would compare arrays and raise on truth testing
     mesh, twin = tetra[0], load_mesh(TETRA_TEXT)[0]

@@ -139,10 +139,13 @@ def test_list_inputs_solve_like_arrays(octagon1):
 def test_validate_inputs_returns_the_solver_arrays(octagon0):
     m = octagon0
     kappa, u = kappa_const(m), np.zeros(m.mesh.vertex_count)
-    checked = validate_inputs(m.mesh, kappa, m.lengths, u)
-    # float64 kappa and lengths pass through; u is always a copy
+    checked = validate_inputs(m.mesh, kappa, m.lengths, u, u)
+    # float64 kappa and lengths pass through; each u is always a copy
+    assert len(checked) == 4
     assert checked[0] is kappa and checked[1] is m.lengths
-    assert checked[2] is not u and checked[2].dtype == np.float64
+    for copy in checked[2:]:
+        assert copy is not u and copy.dtype == np.float64
+    assert checked[2] is not checked[3]
     as_lists = validate_inputs(m.mesh, kappa.tolist(), [1] * m.mesh.edge_count,
                                u.tolist())
     assert all(a.dtype == np.float64 for a in as_lists)
@@ -162,6 +165,15 @@ def test_solve_linear_spd_roundtrip(octagon1):
     d, lu = solve_linear_spd(J, rhs)
     np.testing.assert_allclose(J.toarray() @ d, rhs, atol=1e-11)
     np.testing.assert_array_equal(d, lu.solve(rhs))
+
+
+def test_zero_rhs_direction_is_not_checked(octagon1):
+    # with rhs = 0 there is no descent to test, and any residual check would
+    # compare against 0: the direction is returned as it is
+    J = jacobian_at(octagon1.mesh, kappa_const(octagon1),
+                    np.zeros(octagon1.mesh.vertex_count), octagon1.lengths)
+    d = np.ones(octagon1.mesh.vertex_count)
+    assert solver._checked_direction(J, np.zeros_like(d), d) is d
 
 
 def test_solve_linear_not_pd(octagon1):
@@ -610,6 +622,13 @@ def test_energy_along_path_checks_inputs(octagon1):
     end[0] = -10.0
     with pytest.raises(InfeasibleStartError, match="path parameter"):
         energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, end)
+
+
+def test_energy_along_path_validates_topology_once(octagon1, topology_calls):
+    m = octagon1
+    zero = np.zeros(m.mesh.vertex_count)
+    energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, zero + 0.01)
+    assert len(topology_calls) == 1
 
 
 def test_energy_minimum_at_solution(octagon1):
