@@ -46,12 +46,6 @@ def scale_lengths(mesh: SurfaceMesh, u: np.ndarray,
         return np.exp(0.5 * (u[a] + u[b])) * lengths
 
 
-def constant_curvature_edge_length(kappa, length):
-    """Edge length in the curvature-kappa model: (2/-kappa)*asinh((-kappa/2)*l)."""
-    kappa = np.asarray(kappa, dtype=float)
-    return (2.0 / -kappa) * np.arcsinh(0.5 * (-kappa) * np.asarray(length, dtype=float))
-
-
 def model_length(kappa, length):
     """Curvature -1 length H = 2*asinh((-kappa/2)*l) used for all angles."""
     kappa = np.asarray(kappa, dtype=float)

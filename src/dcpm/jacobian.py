@@ -26,8 +26,14 @@ if TYPE_CHECKING:
 COT_SINGULARITY_TOL = 1e-12
 
 
-class CotangentSingularityError(Exception):
-    """A half-angle combination reached 0 or pi; face nearly degenerate."""
+class LinearSolveError(Exception):
+    """The Newton system could not be solved."""
+
+
+class NotPositiveDefiniteError(LinearSolveError):
+    """No Newton direction at this point: a half angle within
+    ``COT_SINGULARITY_TOL`` of 0 or pi, an exactly singular LU factor, or a
+    solution d with rhs . d <= 0, none of which a positive definite J gives."""
 
 
 def tilde_theta(angles: np.ndarray) -> np.ndarray:
@@ -64,10 +70,6 @@ class JacobianPlan:
     slot: np.ndarray
     diag_index: np.ndarray
     pattern: sp.csc_matrix
-
-    @property
-    def nnz(self) -> int:
-        return len(self.pattern.indices)
 
 
 def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
@@ -117,7 +119,7 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
     if singular.any():
         f = int(np.nonzero(singular.any(axis=1))[0][0])
-        raise CotangentSingularityError(
+        raise NotPositiveDefiniteError(
             f"half angle at face {mesh.face_ids[f]} within "
             f"{COT_SINGULARITY_TOL} of 0 or pi")
 
@@ -148,5 +150,5 @@ def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     w = eta[plan.keep]
     values = np.concatenate([-w, -w, w, w, diag])
     J = copy.copy(plan.pattern)
-    J.data = np.bincount(plan.slot, weights=values, minlength=plan.nnz)
+    J.data = np.bincount(plan.slot, weights=values, minlength=plan.pattern.nnz)
     return J

@@ -140,8 +140,10 @@ class TopologyReport:
 
 def _records(text: str):
     """Yield (line number, stripped line, tokens) of each line that is not
-    blank once its comment is cut; both text formats are read through here."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    blank once its comment is cut; both text formats are read through here.
+    Lines end only at LF, CRLF or CR, as ``Path.read_text`` reads them."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line, line.split()
@@ -322,11 +324,8 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
 
     lo, hi = mesh.edges.min(axis=1), mesh.edges.max(axis=1)
     key = np.sort(lo * mesh.vertex_count + hi)
-    has_loop = bool((lo == hi).any())
-    has_multi = bool((key[1:] == key[:-1]).any())
-    c0, c1, c2 = mesh.face_corners.T
-    degenerate_face = bool(((c0 == c1) | (c1 == c2) | (c2 == c0)).any())
-    is_simplicial = not (has_loop or has_multi or degenerate_face)
+    # a face with two equal corners has a loop edge, so loops cover that case
+    is_simplicial = not ((lo == hi).any() or (key[1:] == key[:-1]).any())
 
     return TopologyReport(is_simplicial=is_simplicial,
                           max_vertex_degree=int(degree.max()),

@@ -166,8 +166,8 @@ def dual_distance_kappa(mesh: SurfaceMesh, amplitude: float) -> np.ndarray:
     amplitude < 1 to stay negative.  No analytic reference solution exists
     for these, so they serve uniqueness and cross-method tests only.
     """
-    if not amplitude < 1.0:
-        raise ValueError("amplitude must be < 1 to keep kappa negative")
+    if not -np.inf < amplitude < 1.0:
+        raise ValueError("amplitude must be finite and < 1 to keep kappa negative")
     # the two faces at each edge (every edge has exactly two face slots)
     f1, f2 = (np.argsort(mesh.face_edges.ravel(), kind="stable") // 3).reshape(-1, 2).T
     dist = np.full(mesh.face_count, -1, dtype=np.int64)

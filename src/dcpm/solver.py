@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InfeasibleFaceError, acuteness_margin, evaluate_point
-from .jacobian import CotangentSingularityError, assemble_jacobian
+from .jacobian import LinearSolveError, NotPositiveDefiniteError, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
 LINEAR_RESIDUAL_RTOL = 1e-10
@@ -60,19 +60,6 @@ class SolverInputError(Exception):
 
 class InfeasibleStartError(SolverInputError):
     """A face's model lengths are infeasible at the start or along the path."""
-
-
-class LinearSolveError(Exception):
-    """The Newton system could not be solved."""
-
-
-class NotPositiveDefiniteError(LinearSolveError):
-    """The Jacobian is singular, or its solution is not a descent direction.
-
-    Raised when the sparse LU factor is exactly singular or when the solve
-    gives d with rhs . d <= 0; a positive definite Jacobian never does
-    either, so this signals that positive definiteness was lost.
-    """
 
 
 def _check_count(name: str, value, minimum: int = 1) -> None:
@@ -290,7 +277,7 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
 
         try:
             d = held.solve(assemble_jacobian(mesh, kappa, scaled, angles), -K)
-        except (NotPositiveDefiniteError, CotangentSingularityError):
+        except NotPositiveDefiniteError:
             d = -K
             used_gradient_fallback = True
         except LinearSolveError as exc:

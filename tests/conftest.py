@@ -77,6 +77,18 @@ def degenerate_lengths(m):
     return lengths
 
 
+def needle_lengths(m):
+    """Level-0 octagon lengths with needle faces at kappa = -1: the loop
+    edges 8-11 are 1e-9 long and the odd spokes 0.9999e-9 shorter than the
+    even ones.  Every face is feasible, but rounding in ``triangle_angles``
+    puts its angle sum 6.7e-8 above pi, so the smallest half angle is
+    -3.3e-8 and no Newton direction exists at u = 0."""
+    lengths = m.lengths.copy()
+    lengths[8:] = 1e-9
+    lengths[1:8:2] = lengths[0] - 0.9999e-9
+    return lengths
+
+
 def pinched(m):
     """The mesh of ``m`` with vertex 40 glued to 10 and 50 to 20: a genus-3
     Euler characteristic, but not a surface (both links are two cycles)."""

@@ -19,7 +19,7 @@ from dcpm.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NO_CONVERGENCE,
                       EXIT_OK, main)
 from dcpm.mesh import dump_mesh
 
-from conftest import TETRA_TEXT, degenerate_lengths, pinched
+from conftest import TETRA_TEXT, degenerate_lengths, needle_lengths, pinched
 
 
 @pytest.fixture
@@ -66,7 +66,7 @@ def assert_cli_contract(argv):
 # -- exit codes ----------------------------------------------------------------
 
 @pytest.fixture
-def cli_paths(tmp_path, octagon1, mesh_file):
+def cli_paths(tmp_path, octagon0, octagon1, mesh_file):
     """Placeholders of the exit-code table: input files, {tmp}, an empty
     output directory, {nowhere}, a path in a missing directory, and the
     whitespace that splitting the table's argv would drop."""
@@ -80,6 +80,7 @@ def cli_paths(tmp_path, octagon1, mesh_file):
         "kappa": kappa,
         "kinf": kappa.replace("\nk 3 -1.1\n", "\nk 3 -inf\n"),
         "latin1": "v 14\n# caf\xe9 \xff\n",  # written as Latin-1: not UTF-8
+        "needle": dump_mesh(octagon0.mesh, needle_lengths(octagon0)),
     }
     paths = {"mesh": mesh_file, "tmp": str(tmp_path / "out"),
              "nowhere": str(tmp_path / "out" / "missing" / "x"),
@@ -188,6 +189,13 @@ EXIT_CODES = [
     # solve ends in one error line, with no traceback and no u file
     *(row(f"solve-kappa-{k}", EXIT_NO_CONVERGENCE, f"{SOLVE} const:-{k}",
           "error: linear solve failed") for k in ("1e-8", "1e-20")),
+    # a feasible needle face has no Newton direction: a flow stage stops with
+    # nothing written, Newton falls back to gradient steps
+    row("flow-needle", EXIT_NO_CONVERGENCE, "flow --mesh {needle} --out {tmp}/u "
+        "--kappa const:-1 --steps 4", "error: linear solve failed: half angle "
+        "at face 0 within 1e-12 of 0 or pi\n"),
+    row("solve-needle", EXIT_NO_CONVERGENCE, "solve --mesh {needle} --out {tmp}/u "
+        "--kappa const:-1", NOT_CONVERGED, "converged = False", ("u",)),
 ]
 
 
@@ -639,6 +647,8 @@ def test_cli_contract_on_mutated_mesh(octagon1, data):
         assert_cli_contract(["check", "--mesh", path])
         assert_cli_contract(["solve", "--mesh", path, "--kappa", "const:-1",
                              "--max-iter", "20", "--out", os.path.join(tmp, "u")])
+        assert_cli_contract(["flow", "--mesh", path, "--kappa", "const:-1",
+                             "--steps", "4", "--out", os.path.join(tmp, "u")])
 
 
 @settings(max_examples=50, deadline=None)
@@ -653,6 +663,8 @@ def test_cli_contract_on_mutated_curvature(octagon1, data):
         assert_cli_contract(["check", "--mesh", mesh_path, "--kappa", kappa_path])
         assert_cli_contract(["solve", "--mesh", mesh_path, "--kappa", kappa_path,
                              "--max-iter", "20", "--out", os.path.join(tmp, "u")])
+        assert_cli_contract(["flow", "--mesh", mesh_path, "--kappa", kappa_path,
+                             "--steps", "4", "--out", os.path.join(tmp, "u")])
 
 
 def test_cli_contract_with_warnings_as_errors(tmp_path, octagon0):

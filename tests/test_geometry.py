@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpm import geometry
-from dcpm.geometry import (InfeasibleFaceError, acuteness_margin,
-                           constant_curvature_edge_length, corner_angles,
+from dcpm.geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
                            discrete_curvature, gauss_bonnet_residual,
                            infeasible_slots, max_length, model_length,
                            scale_lengths, triangle_angles)
@@ -13,8 +12,7 @@ from dcpm.geometry import (InfeasibleFaceError, acuteness_margin,
 from conftest import make_pillow, random_feasible_instance
 
 # frozen oracle values (high-precision evaluation of the closed forms)
-CCEL_K1_L1 = 0.962423650119206895          # 2*asinh(0.5)
-CCEL_K4_L1 = 0.72181773758940517           # 0.5*asinh(2)
+MODEL_K1_L1 = 0.962423650119206895         # 2*asinh(0.5)
 MODEL_K2_L1 = 1.7627471740390861           # 2*asinh(1)
 EQUILATERAL_H1_ANGLE = 0.91879787217802737  # acos((cosh(1)^2-cosh(1))/sinh(1)^2)
 
@@ -55,28 +53,17 @@ def test_scale_composition(octagon1, seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_constant_curvature_edge_length():
-    assert constant_curvature_edge_length(-1.0, 1.0) == pytest.approx(
-        CCEL_K1_L1, rel=1e-15)
-    assert constant_curvature_edge_length(-4.0, 1.0) == pytest.approx(
-        CCEL_K4_L1, rel=1e-15)
-    # asinh(x) ~ x as x -> 0
-    assert constant_curvature_edge_length(-1.0, 1e-8) == pytest.approx(
-        1e-8, rel=1e-15)
-
-
 def test_model_length():
-    assert model_length(-1.0, 1.0) == pytest.approx(CCEL_K1_L1, rel=1e-15)
+    assert model_length(-1.0, 1.0) == pytest.approx(MODEL_K1_L1, rel=1e-15)
     assert model_length(-2.0, 1.0) == pytest.approx(MODEL_K2_L1, rel=1e-15)
+    # asinh(x) ~ x as x -> 0
+    assert model_length(-1.0, 1e-8) == pytest.approx(1e-8, rel=1e-15)
 
 
 def test_model_length_relation():
     rng = np.random.default_rng(7)
     kappa = -np.exp(rng.uniform(-2, 2, 200))
     lengths = np.exp(rng.uniform(-3, 1, 200))
-    np.testing.assert_allclose(
-        model_length(kappa, lengths),
-        (-kappa) * constant_curvature_edge_length(kappa, lengths), rtol=1e-14)
     # strict monotonicity in l
     h1 = model_length(kappa, lengths)
     h2 = model_length(kappa, lengths * 1.01)

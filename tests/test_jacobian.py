@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from dcpm.calculus import laplacian_matrix
 from dcpm.geometry import corner_angles, model_length, scale_lengths, triangle_angles
-from dcpm.jacobian import (CotangentSingularityError, jacobian_plan,
+from dcpm.jacobian import (NotPositiveDefiniteError, jacobian_plan,
                            jacobian_weights, lambda_factor, tilde_theta)
 
-from conftest import fd_jacobian, jacobian_at, random_feasible_instance, weights_at
+from conftest import (fd_jacobian, jacobian_at, needle_lengths,
+                      random_feasible_instance, weights_at)
 
 # frozen oracle values for the equilateral H = 1 triangle
 EQUILATERAL_H1_ANGLE = 0.91879787217802737
@@ -125,18 +126,12 @@ def test_diag_positive_on_feasible(octagon1):
         assert (diag > 0).all()
 
 
-def test_cotangent_singularity_raised(monkeypatch):
-    # a near-degenerate triangle drives one half angle toward pi; at the
-    # default tolerance the feasibility guard fires first, so widen the
-    # singularity band to exercise the refusal path
-    from dcpm import jacobian as jac
-    from conftest import make_pillow
-
-    monkeypatch.setattr(jac, "COT_SINGULARITY_TOL", 1e-4)
-    l_degenerate = float(2.0 * np.sinh(2.0 * np.arcsinh(0.5)))   # H2 = 2*H0 at l0 = 1
-    mesh, lengths = make_pillow(1.0, 1.0, l_degenerate * (1.0 - 1e-11))
-    with pytest.raises(CotangentSingularityError):
-        jacobian_at(mesh, np.full(2, -1.0), np.zeros(3), lengths)
+def test_cotangent_singularity_raised(octagon0):
+    # feasible needle faces whose rounded angle sums exceed pi: a half angle
+    # falls below the default tolerance, and the Jacobian has no direction
+    lengths = needle_lengths(octagon0)
+    with pytest.raises(NotPositiveDefiniteError, match="half angle"):
+        jacobian_at(octagon0.mesh, np.full(8, -1.0), np.zeros(2), lengths)
 
 
 def test_jacobian_row_sums_equal_diag_weighted(octagon1):
@@ -180,7 +175,7 @@ def jacobian_ref(mesh, kappa, scaled, angles):
     plan = jacobian_plan(mesh)
     w = eta[plan.keep]
     data = np.bincount(plan.slot, weights=np.concatenate([-w, -w, w, w, diag]),
-                       minlength=plan.nnz)
+                       minlength=plan.pattern.nnz)
     n = mesh.vertex_count
     return sp.csc_matrix((data, plan.pattern.indices, plan.pattern.indptr),
                          shape=(n, n))

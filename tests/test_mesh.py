@@ -375,3 +375,34 @@ def test_parser_takes_ascii_numbers_only(texts, message):
         mesh, _ = load_mesh(mesh_text)
         load_face_curvature(kappa_text, mesh)
     assert str(err.value) == message
+
+
+# str.splitlines also breaks lines at these; the file formats, like
+# Path.read_text, break them only at LF, CRLF and CR
+SPLITLINES_ONLY_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS,
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_comment_runs_to_end_of_line(char):
+    # record-like text after the character is comment, and no later line
+    # number shifts
+    mesh_text = TETRA_TEXT.replace("v 4", f"v 4 # was:{char}e 0 0 1 9.5")
+    mesh, lengths = load_mesh(mesh_text)
+    assert dump_mesh(mesh, lengths) == dump_mesh(*load_mesh(TETRA_TEXT))
+    with pytest.raises(MeshError) as err:
+        load_mesh(edited(mesh_text, "f 3", "q 3"))
+    assert str(err.value) == "line 12: unknown record 'q'"
+    kappa_text = TETRA_KAPPA.replace("k 0 -1.5", f"k 0 -1.5 # page{char}k 1 -9")
+    assert load_face_curvature(kappa_text, mesh).tolist() == [-1.5] * 4
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings(newline):
+    mesh, lengths = load_mesh(TETRA_TEXT.replace("\n", newline))
+    assert dump_mesh(mesh, lengths) == dump_mesh(*load_mesh(TETRA_TEXT))
+    with pytest.raises(MeshError) as err:
+        load_mesh(edited(TETRA_TEXT, "f 3", "q 3").replace("\n", newline))
+    assert str(err.value) == "line 12: unknown record 'q'"
+    kappa = load_face_curvature(TETRA_KAPPA.replace("\n", newline), mesh)
+    assert kappa.tolist() == [-1.5] * 4

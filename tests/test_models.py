@@ -160,6 +160,13 @@ def test_dual_distance_kappa(octagon1):
         dual_distance_kappa(octagon1.mesh, 1.0)
 
 
+@pytest.mark.parametrize("amplitude", [-np.inf, np.inf, np.nan])
+def test_dual_distance_kappa_rejects_non_finite_amplitude(octagon1, amplitude):
+    # -inf * 0 at face 0 would be a NaN curvature
+    with pytest.raises(ValueError, match="finite"):
+        dual_distance_kappa(octagon1.mesh, amplitude)
+
+
 # -- convergence study ---------------------------------------------------------
 
 def test_convergence_study_levels():
