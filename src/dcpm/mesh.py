@@ -50,6 +50,8 @@ class SurfaceMesh:
         +1 if the face walks the edge a→b, -1 for b→a.
     edge_ids, face_ids : (E,), (F,) int arrays
         External ids, preserved from the input file.
+    edge_slots : (E, 2) int array
+        The two face slots (``3 * face + slot``, increasing) holding each edge.
 
     The corner at slot ``s`` of a face is the tail vertex of its ``s``-th
     directed edge; the three directed edges must chain head-to-tail.
@@ -63,6 +65,7 @@ class SurfaceMesh:
     edge_ids: np.ndarray
     face_ids: np.ndarray
     face_corners: np.ndarray = field(init=False)
+    edge_slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
@@ -88,18 +91,17 @@ class SurfaceMesh:
         if (slot_count < 2).any():
             eid = self.edge_ids[np.argmax(slot_count < 2)]
             raise MeshError(f"dangling edge {eid}: not used by exactly 2 face slots")
+        self.edge_slots = np.argsort(self.face_edges.ravel(),
+                                     kind="stable").reshape(-1, 2)
         unsigned = (np.abs(self.face_signs) != 1).any(axis=1)
         if unsigned.any():
             raise MeshError(f"face {self.face_ids[np.argmax(unsigned)]}: "
                             "edge signs must be +1 or -1")
 
         # Corner s = tail of directed edge s; check head-to-tail chaining.
-        tails = np.where(self.face_signs > 0,
-                         self.edges[self.face_edges, 0],
-                         self.edges[self.face_edges, 1])
-        heads = np.where(self.face_signs > 0,
-                         self.edges[self.face_edges, 1],
-                         self.edges[self.face_edges, 0])
+        ends = self.edges[self.face_edges]
+        tails = np.where(self.face_signs > 0, ends[..., 0], ends[..., 1])
+        heads = ends[..., 0] + ends[..., 1] - tails
         unchained = (heads != np.roll(tails, -1, axis=1)).any(axis=1)
         if unchained.any():
             raise MeshError(
@@ -108,7 +110,7 @@ class SurfaceMesh:
         self.face_corners = tails
 
         for a in (self.edges, self.face_edges, self.face_signs, self.edge_ids,
-                  self.face_ids, self.face_corners):
+                  self.face_ids, self.face_corners, self.edge_slots):
             a.flags.writeable = False
 
     @property
@@ -181,9 +183,9 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
         raise MeshError(f"line {header[0]}: expected header {MAGIC!r}")
 
     vertex_count = None
-    # id -> (a, b, length) and id -> (3 edge ids, 3 signs); dicts keep file order
-    edges: dict[int, tuple[int, int, float]] = {}
-    faces: dict[int, tuple[list[int], list[int]]] = {}
+    # the mesh's columns in file order; index maps each edge id to its row
+    index: dict[int, int] = {}
+    edges, lengths, face_edges, face_signs, face_ids = [], [], [], [], {}
     for lineno, _, toks in records:
         kind = toks[0]
         if kind == "v":
@@ -200,7 +202,7 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
             if len(toks) != 5:
                 raise MeshError(f"line {lineno}: 'e' takes id, endpoints, length")
             eid = _parse_number(int, toks[1], "edge id", lineno)
-            if eid in edges:
+            if eid in index:
                 raise MeshError(f"line {lineno}: duplicate edge id {eid}")
             a = _parse_number(int, toks[2], "vertex", lineno)
             b = _parse_number(int, toks[3], "vertex", lineno)
@@ -209,46 +211,43 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
             length = _parse_number(float, toks[4], "length", lineno)
             if not (length > 0 and math.isfinite(length)):
                 raise MeshError(f"line {lineno}: edge length must be finite and > 0")
-            edges[eid] = (a, b, length)
+            index[eid] = len(edges)
+            edges.append((a, b))
+            lengths.append(length)
         elif kind == "f":
             if len(toks) != 5:
                 raise MeshError(f"line {lineno}: 'f' takes id and 3 signed edges")
             fid = _parse_number(int, toks[1], "face id", lineno)
-            if fid in faces:
+            if fid in face_ids:
                 raise MeshError(f"line {lineno}: duplicate face id {fid}")
-            eids, signs = [], []
+            face_ids[fid] = None
             for tok in toks[2:]:
                 # one leading sign is the direction; the rest is the edge id
-                sign = -1 if tok[0] == "-" else 1
+                face_signs.append(-1 if tok[0] == "-" else 1)
                 eid = _parse_number(int, tok[1:] if tok[0] in "+-" else tok,
                                     "edge reference", lineno)
-                if eid not in edges:
+                if eid not in index:
                     raise MeshError(f"line {lineno}: face {fid} references "
                                     f"unknown edge {eid}")
-                eids.append(eid)
-                signs.append(sign)
-            faces[fid] = (eids, signs)
+                face_edges.append(index[eid])
         else:
             raise MeshError(f"line {lineno}: unknown record {kind!r}")
 
     if vertex_count is None:
         raise MeshError("missing 'v' line")
-    if not faces:
+    if not face_ids:
         raise MeshError("mesh has no faces")
 
-    # edge ids become edge indices; SurfaceMesh makes the int64 arrays
-    index = {eid: i for i, eid in enumerate(edges)}
-    mesh = SurfaceMesh(vertex_count=vertex_count,
-                       edges=[(a, b) for a, b, _ in edges.values()],
-                       face_edges=[[index[eid] for eid in eids]
-                                   for eids, _ in faces.values()],
-                       face_signs=[signs for _, signs in faces.values()],
-                       edge_ids=list(edges), face_ids=list(faces))
-    return mesh, np.array([length for _, _, length in edges.values()], dtype=float)
+    mesh = SurfaceMesh(vertex_count, edges, np.reshape(face_edges, (-1, 3)),
+                       np.reshape(face_signs, (-1, 3)), list(index), list(face_ids))
+    return mesh, np.array(lengths, dtype=float)
 
 
 def dump_mesh(mesh: SurfaceMesh, lengths: np.ndarray) -> str:
     """Serialize back to the mesh file format (round-trip identity)."""
+    if np.shape(lengths) != (mesh.edge_count,) or not (
+            np.isfinite(lengths) & np.greater(lengths, 0)).all():
+        raise ValueError(f"lengths must be {mesh.edge_count} finite values > 0")
     out = [MAGIC, f"v {mesh.vertex_count}"]
     out += [f"e {eid} {a} {b} {length:.17g}" for eid, (a, b), length in zip(
         mesh.edge_ids.tolist(), mesh.edges.tolist(), np.asarray(lengths).tolist())]
@@ -287,6 +286,15 @@ def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
         label = hooked
 
 
+def cycle_minima(perm: np.ndarray) -> np.ndarray:
+    """Smallest entry on the cycle of each entry of a permutation, by pointer
+    doubling: after k rounds ``low[i]`` is the least of 2**k steps from i."""
+    low = np.arange(len(perm))
+    while not np.array_equal(low, lower := np.minimum(low, low[perm])):
+        low, perm = lower, perm[perm]
+    return low
+
+
 def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     """Report simpliciality, defects and solver eligibility.
 
@@ -298,9 +306,8 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
 
     # Each edge has two face slots (a SurfaceMesh invariant); they must
     # traverse it once in each direction.
-    sign_sum = np.bincount(mesh.face_edges.ravel(), weights=mesh.face_signs.ravel(),
-                           minlength=mesh.edge_count)
-    for e in np.nonzero(sign_sum != 0)[0]:
+    signs = mesh.face_signs.ravel()[mesh.edge_slots]
+    for e in np.nonzero(signs[:, 0] == signs[:, 1])[0]:
         violations.append(f"edge {mesh.edge_ids[e]} traversed twice in the "
                           "same direction (orientation defect)")
 
@@ -308,10 +315,10 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
     # corner around its vertex follows the other slot of that edge.  A closed
     # surface, whose Euler characteristic is even, has one cycle per vertex.
     if not violations:
-        slots = np.argsort(mesh.face_edges.ravel(), kind="stable").reshape(-1, 2)
-        other = slots[:, ::-1].ravel()
-        turn = np.stack([slots.ravel(), other - other % 3 + (other + 1) % 3], axis=1)
-        first = vertex_components(slots.size, turn) == np.arange(slots.size)
+        other = mesh.edge_slots[:, ::-1].ravel()
+        turn = np.empty_like(other)
+        turn[mesh.edge_slots.ravel()] = other - other % 3 + (other + 1) % 3
+        first = cycle_minima(turn) == np.arange(turn.size)
         cycles = np.bincount(mesh.face_corners.ravel()[first]).tolist()
         violations += [f"vertex {v}: link has {n} cycles (not a surface)"
                        for v, n in enumerate(cycles) if n > 1]

@@ -169,7 +169,7 @@ def dual_distance_kappa(mesh: SurfaceMesh, amplitude: float) -> np.ndarray:
     if not -np.inf < amplitude < 1.0:
         raise ValueError("amplitude must be finite and < 1 to keep kappa negative")
     # the two faces at each edge (every edge has exactly two face slots)
-    f1, f2 = (np.argsort(mesh.face_edges.ravel(), kind="stable") // 3).reshape(-1, 2).T
+    f1, f2 = (mesh.edge_slots // 3).T
     dist = np.full(mesh.face_count, -1, dtype=np.int64)
     dist[0] = 0
     frontier = dist == 0

@@ -76,7 +76,10 @@ def cli_paths(tmp_path, octagon0, octagon1, mesh_file):
         "vcount100": TETRA_TEXT.replace("v 4", "v 100"),
         "hugeface": TETRA_TEXT.replace("f 2 ", "f 99999999999999999999 "),
         "hugevcount": TETRA_TEXT.replace("v 4", "v 99999999999999999999"),
-        "inflength": dump_mesh(octagon1.mesh, np.r_[np.inf, octagon1.lengths[1:]]),
+        # dump_mesh writes finite lengths only, so edge 0's is edited in
+        "inflength": re.sub(r"^(e 0 .*) \S+$", r"\1 inf",
+                            dump_mesh(octagon1.mesh, octagon1.lengths), count=1,
+                            flags=re.M),
         "kappa": kappa,
         "kinf": kappa.replace("\nk 3 -1.1\n", "\nk 3 -inf\n"),
         "latin1": "v 14\n# caf\xe9 \xff\n",  # written as Latin-1: not UTF-8

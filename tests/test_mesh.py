@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcpm.mesh import MeshError, SurfaceMesh, dump_mesh, load_face_curvature, \
-    load_mesh, validate_topology, vertex_components
+from dcpm.mesh import MeshError, SurfaceMesh, cycle_minima, dump_mesh, \
+    load_face_curvature, load_mesh, validate_topology, vertex_components
 
-from conftest import TETRA_TEXT, pinched
+from conftest import TETRA_TEXT, degenerate_lengths, pinched
 
 
 def test_tetrahedron_loads(tetra):
@@ -112,6 +112,85 @@ def test_vertex_components_matches_bfs(graph):
     n, edges = graph
     labels = vertex_components(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
     assert labels.tolist() == bfs_components(n, edges)
+
+
+permutations = st.integers(1, 200).flatmap(lambda n: st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutations)
+def test_cycle_minima_match_components(perm):
+    perm = np.array(perm, dtype=np.int64)
+    pairs = np.stack([np.arange(perm.size), perm], axis=1)
+    assert np.array_equal(cycle_minima(perm), vertex_components(perm.size, pairs))
+
+
+def test_link_rotation_cycle_minima(octagon2):
+    # the corner rotation of validate_topology on a mesh whose links at
+    # vertices 10 and 20 are two cycles each
+    slots = pinched(octagon2).edge_slots
+    other = slots[:, ::-1].ravel()
+    turn_list = np.stack([slots.ravel(), other - other % 3 + (other + 1) % 3], axis=1)
+    turn = np.empty_like(other)
+    turn[turn_list[:, 0]] = turn_list[:, 1]
+    assert np.array_equal(np.sort(turn), np.arange(turn.size))
+    assert np.array_equal(cycle_minima(turn), vertex_components(turn.size, turn_list))
+
+
+PAIRED_MESHES = {
+    **{f"octagon{k}": lambda levels, k=k: levels[k].mesh for k in range(4)},
+    "tetra": lambda levels: load_mesh(TETRA_TEXT)[0],
+    "pinched": lambda levels: pinched(levels[2]),
+    "degenerate": lambda levels: load_mesh(
+        dump_mesh(levels[2].mesh, degenerate_lengths(levels[2])))[0],
+}
+
+
+@pytest.mark.parametrize("name", PAIRED_MESHES)
+def test_edge_slots_pair_each_edge(octagon_levels, name):
+    mesh = PAIRED_MESHES[name](octagon_levels)
+    slots, E = mesh.edge_slots, mesh.edge_count
+    assert slots.shape == (E, 2)
+    assert (slots[:, 0] < slots[:, 1]).all()
+    assert (mesh.face_edges.ravel()[slots] == np.arange(E)[:, None]).all()
+    with pytest.raises(ValueError, match="read-only"):
+        slots[0, 0] = 0
+
+
+@pytest.mark.parametrize("edit", [lambda l: l[:-1], lambda l: np.r_[l, 1.0],
+                                  lambda l: np.r_[np.nan, l[1:]],
+                                  lambda l: np.r_[l[:-1], np.inf],
+                                  lambda l: np.r_[l[:-1], 0.0]],
+                         ids=["short", "long", "nan", "inf", "zero"])
+def test_dump_mesh_takes_one_valid_length_per_edge(octagon1, edit):
+    # zip would drop the surplus, or write a file that does not load
+    with pytest.raises(ValueError, match=r"^lengths must be 48 finite values > 0$"):
+        dump_mesh(octagon1.mesh, edit(octagon1.lengths))
+
+
+def test_reader_maps_ids_to_indices(octagon2):
+    # permuted ids, and each face written right after the last edge it uses
+    m, E = octagon2.mesh, octagon2.mesh.edge_count
+    rng = np.random.default_rng(7)
+    relabelled = SurfaceMesh(m.vertex_count, m.edges, m.face_edges, m.face_signs,
+                             rng.permutation(E), rng.permutation(m.face_count))
+    canonical = dump_mesh(relabelled, octagon2.lengths)
+    lines = canonical.splitlines()
+    edge_lines, face_lines = lines[2:2 + E], lines[2 + E:]
+    out, written = lines[:2], 0
+    for row, face_line in zip(m.face_edges.tolist(), face_lines):
+        out += edge_lines[written:max(row) + 1]
+        written = max(written, max(row) + 1)
+        out.append(face_line)
+    text = "\n".join(out + edge_lines[written:]) + "\n"
+    assert text.index("\nf ") < text.rindex("\ne ")
+
+    mesh, lengths = load_mesh(text)
+    for name in ("edges", "face_edges", "face_signs", "edge_ids", "face_ids"):
+        assert np.array_equal(getattr(mesh, name), getattr(relabelled, name)), name
+    assert np.array_equal(lengths, octagon2.lengths)
+    assert dump_mesh(mesh, lengths) == canonical
+    assert dump_mesh(*load_mesh(canonical)) == canonical
 
 
 def test_roundtrip_identity(octagon2):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -158,6 +159,34 @@ def test_dual_distance_kappa(octagon1):
     assert kappa.max() == pytest.approx(-0.7)
     with pytest.raises(ValueError):
         dual_distance_kappa(octagon1.mesh, 1.0)
+
+
+def bfs_dual_distance(mesh):
+    """Reference: dual-graph distance of each face from face 0, by a queue."""
+    faces_at = [[] for _ in range(mesh.edge_count)]
+    for f, row in enumerate(mesh.face_edges.tolist()):
+        for e in row:
+            faces_at[e].append(f)
+    dist = [-1] * mesh.face_count
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for e in mesh.face_edges[f].tolist():
+            for g in faces_at[e]:
+                if dist[g] < 0:
+                    dist[g] = dist[f] + 1
+                    queue.append(g)
+    return np.array(dist)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_dual_distance_kappa_matches_bfs(octagon_levels, level):
+    mesh = octagon_levels[level].mesh
+    dist = bfs_dual_distance(mesh)
+    expected = -1.0 + 0.5 * (dist / max(int(dist.max()), 1))
+    assert (dist >= 0).all()
+    assert np.array_equal(dual_distance_kappa(mesh, 0.5), expected)
 
 
 @pytest.mark.parametrize("amplitude", [-np.inf, np.inf, np.nan])
