@@ -139,7 +139,7 @@ def _config(make, *args, **kwargs):
 
 
 def _u_text(u: np.ndarray) -> str:
-    return "".join(f"u {i} {u[i]:.17g}\n" for i in range(len(u)))
+    return "".join(f"u {i} {x:.17g}\n" for i, x in enumerate(u.tolist()))
 
 
 def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:

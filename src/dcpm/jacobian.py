@@ -59,16 +59,13 @@ class JacobianPlan:
     values are laid out as ``[-w, -w, +w, +w, diag]``, with ``w`` the
     weights of the non-loop edges (mask ``keep``): the two off-diagonal
     entries of each edge, its two endpoint diagonals, then D.  ``slot``
-    sends each value to its nnz position, and ``diag_index`` names the
-    vertex that each (face slot, edge end) of :func:`jacobian_weights` adds
-    to.  Both off-diagonal entries of an edge list its endpoints in the same
-    (low, high) order, so parallel edges sum in edge order on both sides and
-    the matrix is exactly symmetric.
+    sends each value to its nnz position.  Both off-diagonal entries of an
+    edge list its endpoints in the same (low, high) order, so parallel edges
+    sum in edge order on both sides and the matrix is exactly symmetric.
     """
 
     keep: np.ndarray
     slot: np.ndarray
-    diag_index: np.ndarray
     pattern: sp.csc_matrix
 
 
@@ -90,13 +87,9 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
         pattern = sp.csc_matrix((np.zeros(len(keys)), (keys % n).astype(np.int32),
                                  np.append(indptr, len(keys)).astype(np.int32)),
                                 shape=(n, n))
-        plan = JacobianPlan(
-            keep=keep, slot=slot, pattern=pattern,
-            diag_index=mesh.edges[mesh.face_edges.ravel()].T.ravel().astype(np.int32))
-        for a in (keep, slot, plan.diag_index,
-                  pattern.indices, pattern.indptr, pattern.data):
+        for a in (keep, slot, pattern.indices, pattern.indptr, pattern.data):
             a.flags.writeable = False
-        mesh._jacobian_plan = plan
+        plan = mesh._jacobian_plan = JacobianPlan(keep, slot, pattern)
     return plan
 
 
@@ -108,12 +101,12 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     is ``geometry.corner_angles(mesh, kappa, scaled)``.  Per face and edge
     slot s (opposite corner s+2), the face contributes
     cot(tilde_theta)*(1-lambda)/2 to the edge weight and cot(tilde_theta)*lambda
-    to the diagonal at each endpoint of the edge.  Accumulation runs in
-    ascending face id order, so assembly is deterministic.  For a loop edge
-    both endpoint contributions land on the same diagonal entry, which is the
-    correct specialization of the derivative.  ``eta`` is per edge (summed
-    over the two incident faces) and ``diag`` per vertex;
-    ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
+    to the diagonal at each endpoint of the edge.  Sums run in the order of
+    ``mesh.edge_slots`` and ``mesh.slot_ends``, so assembly is deterministic.
+    For a loop edge both endpoint contributions land on the same diagonal
+    entry, which is the correct specialization of the derivative.  ``eta``
+    is per edge (summed over the two incident faces) and ``diag`` per
+    vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
     """
     tilde = tilde_theta(angles)
     singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
@@ -127,12 +120,11 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     # cotangent opposite to edge slot s is at corner slot s+2
     cot_opp = (np.cos(tilde) / np.sin(tilde))[:, [2, 0, 1]]
 
-    eta = np.bincount(mesh.face_edges.ravel(),
-                      weights=(0.5 * cot_opp * (1.0 - lam)).ravel(),
-                      minlength=mesh.edge_count)
+    w = (0.5 * cot_opp * (1.0 - lam)).ravel()[mesh.edge_slots]
+    eta = w[:, 0] + w[:, 1]
 
     dcontrib = (cot_opp * lam).ravel()
-    diag = np.bincount(jacobian_plan(mesh).diag_index,
+    diag = np.bincount(mesh.slot_ends.ravel(),
                        weights=np.concatenate((dcontrib, dcontrib)),
                        minlength=mesh.vertex_count)
     return eta, diag

@@ -18,6 +18,8 @@ are line oriented: '#' starts a comment, and lines left blank are skipped::
 Signed edge ids in ``f`` lines give the traversal direction: ``+`` walks the
 edge a→b, ``-`` walks it b→a.  A face may only reference edges on earlier lines.
 Numbers are ASCII: a token with a ``_`` or a non-ASCII character is rejected.
+A number may carry one leading sign; in an ``f`` reference the first sign is
+the direction, so ``+-3`` walks edge -3 a→b and ``--3`` walks it b→a.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class SurfaceMesh:
         External ids, preserved from the input file.
     edge_slots : (E, 2) int array
         The two face slots (``3 * face + slot``, increasing) holding each edge.
+    slot_ends : (2, F, 3) int array
+        ``slot_ends[j, f, s] = edges[face_edges[f, s], j]``: each slot's edge ends.
 
     The corner at slot ``s`` of a face is the tail vertex of its ``s``-th
     directed edge; the three directed edges must chain head-to-tail.
@@ -66,6 +70,7 @@ class SurfaceMesh:
     face_ids: np.ndarray
     face_corners: np.ndarray = field(init=False)
     edge_slots: np.ndarray = field(init=False)
+    slot_ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
@@ -99,9 +104,9 @@ class SurfaceMesh:
                             "edge signs must be +1 or -1")
 
         # Corner s = tail of directed edge s; check head-to-tail chaining.
-        ends = self.edges[self.face_edges]
-        tails = np.where(self.face_signs > 0, ends[..., 0], ends[..., 1])
-        heads = ends[..., 0] + ends[..., 1] - tails
+        self.slot_ends = ends = self.edges.T.take(self.face_edges, axis=1)
+        tails = np.where(self.face_signs > 0, ends[0], ends[1])
+        heads = ends[0] + ends[1] - tails
         unchained = (heads != np.roll(tails, -1, axis=1)).any(axis=1)
         if unchained.any():
             raise MeshError(
@@ -110,7 +115,8 @@ class SurfaceMesh:
         self.face_corners = tails
 
         for a in (self.edges, self.face_edges, self.face_signs, self.edge_ids,
-                  self.face_ids, self.face_corners, self.edge_slots):
+                  self.face_ids, self.face_corners, self.edge_slots,
+                  self.slot_ends):
             a.flags.writeable = False
 
     @property
@@ -319,9 +325,10 @@ def validate_topology(mesh: SurfaceMesh) -> TopologyReport:
         turn = np.empty_like(other)
         turn[mesh.edge_slots.ravel()] = other - other % 3 + (other + 1) % 3
         first = cycle_minima(turn) == np.arange(turn.size)
-        cycles = np.bincount(mesh.face_corners.ravel()[first]).tolist()
+        cycles = np.bincount(mesh.face_corners.ravel()[first])
+        many = np.flatnonzero(cycles > 1)
         violations += [f"vertex {v}: link has {n} cycles (not a surface)"
-                       for v, n in enumerate(cycles) if n > 1]
+                       for v, n in zip(many.tolist(), cycles[many].tolist())]
 
     # Connectivity of the 1-skeleton (vertices + edges).
     if vertex_components(mesh.vertex_count, mesh.edges).any():

@@ -102,6 +102,21 @@ def pinched(m):
                        s.face_signs, s.edge_ids, s.face_ids)
 
 
+def reversed_spokes(m):
+    """The level-0 octagon mesh of ``m`` with every other spoke stored b -> a:
+    the 8 spokes join the same two vertices, so parallel edges list their
+    endpoints in both orders."""
+    from dcpm.mesh import SurfaceMesh
+
+    s = m.mesh
+    flip = (np.arange(s.edge_count) % 2 == 1) & (s.edges[:, 0] != s.edges[:, 1])
+    return SurfaceMesh(s.vertex_count,
+                       np.where(flip[:, None], s.edges[:, ::-1], s.edges),
+                       s.face_edges,
+                       np.where(flip[s.face_edges], -s.face_signs, s.face_signs),
+                       s.edge_ids, s.face_ids)
+
+
 def random_feasible_instance(m, rng, kappa_range=(-2.0, -0.5), u_scale=0.1):
     """Random per-face curvature and small conformal factor on a fixture."""
     kappa = rng.uniform(*kappa_range, m.mesh.face_count)

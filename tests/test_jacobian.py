@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from dcpm.geometry import corner_angles, model_length, scale_lengths, triangle_a
 from dcpm.jacobian import (NotPositiveDefiniteError, jacobian_plan,
                            jacobian_weights, lambda_factor, tilde_theta)
 
-from conftest import (fd_jacobian, jacobian_at, needle_lengths,
-                      random_feasible_instance, weights_at)
+from conftest import (fd_jacobian, jacobian_at, needle_lengths, pinched,
+                      random_feasible_instance, reversed_spokes, weights_at)
 
 # frozen oracle values for the equilateral H = 1 triangle
 EQUILATERAL_H1_ANGLE = 0.91879787217802737
@@ -53,15 +55,7 @@ def test_jacobian_symmetric_exactly(octagon1):
 
 
 def test_jacobian_symmetric_exactly_reversed_parallel_edges(octagon0):
-    # the 8 spokes join the same two vertices; store every other one b -> a
-    from dcpm.mesh import SurfaceMesh
-    s = octagon0.mesh
-    flip = (np.arange(s.edge_count) % 2 == 1) & (s.edges[:, 0] != s.edges[:, 1])
-    mesh = SurfaceMesh(s.vertex_count,
-                       np.where(flip[:, None], s.edges[:, ::-1], s.edges),
-                       s.face_edges,
-                       np.where(flip[s.face_edges], -s.face_signs, s.face_signs),
-                       s.edge_ids, s.face_ids)
+    mesh = reversed_spokes(octagon0)
     rng = np.random.default_rng(5)
     for _ in range(20):
         kappa, u = random_feasible_instance(octagon0, rng)
@@ -145,8 +139,10 @@ def test_jacobian_row_sums_equal_diag_weighted(octagon1):
 
 # -- bit-identity pins ----------------------------------------------------------
 # References in the np.roll and last-axis-sum forms that the kernels replaced,
-# and the CSC matrix built by the constructor, as assembly did before it
-# copied the plan's pattern; the kernels and assembly must give the same bits.
+# the weights scattered over face_edges and edges[face_edges] as they were
+# before SurfaceMesh held edge_slots and slot_ends, and the CSC matrix built by
+# the constructor, as assembly did before it copied the plan's pattern; the
+# kernels and assembly must give the same bits.
 
 def tilde_theta_ref(angles):
     angles = np.asarray(angles, dtype=float)
@@ -203,12 +199,21 @@ def test_tilde_theta_matches_reference_on_small_shapes(angles):
                           tilde_theta_ref(np.array(angles)))
 
 
+# octagon levels 0-3, parallel spokes stored in both directions, and a mesh
+# whose vertices 10 and 20 each have a link of two cycles
+WEIGHTED_MESHES = {
+    **{f"octagon{k}": lambda levels, k=k: levels[k] for k in range(4)},
+    "reversed": lambda levels: replace(levels[0], mesh=reversed_spokes(levels[0])),
+    "pinched": lambda levels: replace(levels[2], mesh=pinched(levels[2])),
+}
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_weights_and_assembly_match_reference(octagon_levels, level, seed):
+@given(st.sampled_from(list(WEIGHTED_MESHES)), st.integers(0, 2**32 - 1))
+def test_weights_and_assembly_match_reference(octagon_levels, name, seed):
     from dcpm.jacobian import assemble_jacobian
 
-    m = octagon_levels[level]
+    m = WEIGHTED_MESHES[name](octagon_levels)
     kappa, scaled, angles = evaluated(m, seed)
     assert np.array_equal(tilde_theta(angles), tilde_theta_ref(angles))
     for got, want in zip(jacobian_weights(m.mesh, kappa, scaled, angles),

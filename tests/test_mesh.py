@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dcpm.mesh import MeshError, SurfaceMesh, cycle_minima, dump_mesh, \
     load_face_curvature, load_mesh, validate_topology, vertex_components
 
-from conftest import TETRA_TEXT, degenerate_lengths, pinched
+from conftest import TETRA_TEXT, degenerate_lengths, pinched, reversed_spokes
 
 
 def test_tetrahedron_loads(tetra):
@@ -143,6 +143,7 @@ PAIRED_MESHES = {
     "pinched": lambda levels: pinched(levels[2]),
     "degenerate": lambda levels: load_mesh(
         dump_mesh(levels[2].mesh, degenerate_lengths(levels[2])))[0],
+    "reversed": lambda levels: reversed_spokes(levels[0]),
 }
 
 
@@ -155,6 +156,17 @@ def test_edge_slots_pair_each_edge(octagon_levels, name):
     assert (mesh.face_edges.ravel()[slots] == np.arange(E)[:, None]).all()
     with pytest.raises(ValueError, match="read-only"):
         slots[0, 0] = 0
+
+    ends = mesh.slot_ends
+    assert ends.shape == (2, mesh.face_count, 3) and ends.flags.c_contiguous
+    for j in (0, 1):
+        assert np.array_equal(ends[j], mesh.edges[mesh.face_edges, j])
+    # the corner of a slot is the tail of its directed edge: end 0 walked
+    # forward, end 1 walked backward
+    assert np.array_equal(mesh.face_corners,
+                          np.choose(mesh.face_signs < 0, ends))
+    with pytest.raises(ValueError, match="read-only"):
+        ends[0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("edit", [lambda l: l[:-1], lambda l: np.r_[l, 1.0],
@@ -191,6 +203,22 @@ def test_reader_maps_ids_to_indices(octagon2):
     assert np.array_equal(lengths, octagon2.lengths)
     assert dump_mesh(mesh, lengths) == canonical
     assert dump_mesh(*load_mesh(canonical)) == canonical
+
+
+def test_negative_ids_round_trip(octagon1):
+    # a reference to edge -3 is written +-3 or --3: the first sign is the
+    # direction, the rest is the id
+    m = octagon1.mesh
+    signed = SurfaceMesh(m.vertex_count, m.edges, m.face_edges, m.face_signs,
+                         -1 - np.arange(m.edge_count), -1 - np.arange(m.face_count))
+    text = dump_mesh(signed, octagon1.lengths)
+    assert "\ne -1 " in text and "\nf -1 " in text
+    assert " +-" in text and " --" in text
+    mesh, lengths = load_mesh(text)
+    for name in ("edges", "face_edges", "face_signs", "edge_ids", "face_ids"):
+        assert np.array_equal(getattr(mesh, name), getattr(signed, name)), name
+    assert np.array_equal(mesh.face_signs, m.face_signs)
+    assert dump_mesh(mesh, lengths) == text
 
 
 def test_roundtrip_identity(octagon2):
