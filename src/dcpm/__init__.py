@@ -3,7 +3,7 @@
 from .calculus import (EllipticReport, Graph, divergence, elliptic_estimate_check,
                        gradient, isoperimetric_constant, laplacian_apply,
                        laplacian_matrix)
-from .geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
+from .geometry import (InfeasibleFaceError, Point, acuteness_margin, corner_angles,
                        discrete_curvature, evaluate_point, gauss_bonnet_residual,
                        max_length, model_length, scale_lengths)
 from .jacobian import assemble_jacobian, jacobian_weights, lambda_factor, tilde_theta

@@ -7,11 +7,11 @@ Each ``cmd_*`` only computes and returns (exit code, report, {path: text}).
 :func:`main` checks every output path before the command reads its inputs,
 so one that is unwritable or names an input file exits 2 with nothing
 written; then it writes the files in order, the report file last, prints
-the report and maps the exit code: 0 success, 2 parse/validation error or
-a file that cannot be read or written, 3 infeasible configuration, 4
-non-convergence (outputs still written; for ``converge``, a level that did
-not converge) or a failed linear solve (nothing written).  2, 3 and 4
-write one ``error:`` line to stderr.
+the report and maps the exit code: 0 success, 2 parse/validation error, a
+file that cannot be read or written, or an input too large for memory,
+3 infeasible configuration, 4 non-convergence (outputs still written; for
+``converge``, a level that did not converge) or a failed linear solve
+(nothing written).  2, 3 and 4 write one ``error:`` line to stderr.
 A malformed command line is a ``CliError`` too: the parser raises it instead
 of printing its usage and exiting, so it leaves through :func:`main`.
 
@@ -220,7 +220,7 @@ def cmd_check(args) -> tuple[int, dict, dict]:
     for i, v in enumerate(topo.violations):
         report[f"violation_{i}"] = v
     try:
-        angles = geometry.corner_angles(mesh, kappa, lengths)  # u = 0
+        angles = geometry.corner_angles(mesh, kappa, lengths[mesh.face_edges])
         report["acuteness_margin"] = geometry.acuteness_margin(angles)
         report["gauss_bonnet_residual"] = geometry.gauss_bonnet_residual(
             mesh, angles)
@@ -329,9 +329,10 @@ def main(argv=None) -> int:
         message = "no convergence; the best iterate was written"
     except (InfeasibleStartError, InfeasibleFaceError) as exc:
         code, message = EXIT_INFEASIBLE, str(exc)
-    # InfeasibleStartError is a SolverInputError, so it is caught above
-    except (CliError, SolverInputError) as exc:
-        code, message = EXIT_INVALID, str(exc)
+    # InfeasibleStartError is a SolverInputError, so it is caught above; a
+    # MemoryError is an input too large for the machine, such as a level
+    except (CliError, SolverInputError, MemoryError) as exc:
+        code, message = EXIT_INVALID, str(exc) or "out of memory"
     except LinearSolveError as exc:
         code, message = EXIT_NO_CONVERGENCE, f"linear solve failed: {exc}"
     print(f"error: {message}", file=sys.stderr)

@@ -8,6 +8,8 @@ is 2*pi minus its total corner angle.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .mesh import SurfaceMesh
@@ -97,12 +99,13 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
 
 
 def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,
-                  lengths: np.ndarray) -> np.ndarray:
+                  slot_lengths: np.ndarray) -> np.ndarray:
     """(F, 3) inner angles; slot s is the angle at corner s of each face.
 
-    The one angle evaluation: K, the margin and the Jacobian read its output.
+    ``slot_lengths`` is ``lengths[mesh.face_edges]``.  The one angle
+    evaluation: K, the margin and the Jacobian read its output.
     """
-    H = model_length(kappa[:, None], lengths[mesh.face_edges])
+    H = model_length(kappa[:, None], slot_lengths)
     try:
         return triangle_angles(H)
     except InfeasibleFaceError as exc:
@@ -120,19 +123,28 @@ def curvature_from_angles(mesh: SurfaceMesh, angles: np.ndarray) -> np.ndarray:
     return K
 
 
+class Point(NamedTuple):
+    """An evaluated u; K is None at a point that only gives a Jacobian."""
+
+    u: np.ndarray
+    slot_lengths: np.ndarray  # (F, 3): scale_lengths(...)[mesh.face_edges]
+    angles: np.ndarray  # (F, 3): corner_angles(mesh, kappa, slot_lengths)
+    K: np.ndarray | None
+
+
 def evaluate_point(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
-                   lengths: np.ndarray, curvature: bool = True):
-    """(u, scaled lengths, corner angles, K): one angle evaluation at u; K is
-    None when not ``curvature``, at a point that only gives a Jacobian."""
-    scaled = scale_lengths(mesh, u, lengths)
-    angles = corner_angles(mesh, kappa, scaled)
-    return u, scaled, angles, curvature_from_angles(mesh, angles) if curvature else None
+                   lengths: np.ndarray, curvature: bool = True) -> Point:
+    """The :class:`Point` at u, from one angle evaluation; K only if ``curvature``."""
+    slot_lengths = scale_lengths(mesh, u, lengths)[mesh.face_edges]
+    angles = corner_angles(mesh, kappa, slot_lengths)
+    return Point(u, slot_lengths, angles,
+                 curvature_from_angles(mesh, angles) if curvature else None)
 
 
 def discrete_curvature(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
                        lengths: np.ndarray) -> np.ndarray:
     """Generalized discrete curvature K_i = 2*pi - sum of corner angles at i."""
-    return evaluate_point(mesh, kappa, u, lengths)[3]
+    return evaluate_point(mesh, kappa, u, lengths).K
 
 
 def acuteness_margin(angles: np.ndarray) -> float:

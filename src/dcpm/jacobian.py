@@ -3,8 +3,8 @@
 Edge weights and diagonal are assembled per face from half-angle cotangents
 and the lambda factors; the result is the true Jacobian of
 :func:`dcpm.geometry.discrete_curvature` (checked by finite differences in
-the test suite).  Assembly reads the scaled lengths and corner angles that
-the caller already evaluated at u; it computes no angle itself.  The
+the test suite).  Assembly reads the slot lengths and corner angles of the
+point that the caller evaluated at u; it computes no angle itself.  The
 Jacobian has one representation, the CSC matrix that
 :func:`assemble_jacobian` returns: a copy, with fresh values, of the pattern
 matrix of the per-mesh :class:`JacobianPlan`, built once, cached on the mesh.
@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .geometry import Point
 from .mesh import SurfaceMesh
 
 if TYPE_CHECKING:
@@ -93,13 +94,12 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
     return plan
 
 
-def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
-                     angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge weights eta and diagonal D at u, from its scaled lengths and angles.
+def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray,
+                     point: Point) -> tuple[np.ndarray, np.ndarray]:
+    """Edge weights eta and diagonal D from the slot lengths and angles at u.
 
-    ``scaled`` is ``geometry.scale_lengths(mesh, u, lengths)`` and ``angles``
-    is ``geometry.corner_angles(mesh, kappa, scaled)``.  Per face and edge
-    slot s (opposite corner s+2), the face contributes
+    ``point`` is ``geometry.evaluate_point(mesh, kappa, u, lengths)``.  Per
+    face and edge slot s (opposite corner s+2), the face contributes
     cot(tilde_theta)*(1-lambda)/2 to the edge weight and cot(tilde_theta)*lambda
     to the diagonal at each endpoint of the edge.  Sums run in the order of
     ``mesh.edge_slots`` and ``mesh.slot_ends``, so assembly is deterministic.
@@ -108,7 +108,7 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     is per edge (summed over the two incident faces) and ``diag`` per
     vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
     """
-    tilde = tilde_theta(angles)
+    tilde = tilde_theta(point.angles)
     singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
     if singular.any():
         f = int(np.nonzero(singular.any(axis=1))[0][0])
@@ -116,7 +116,7 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
             f"half angle at face {mesh.face_ids[f]} within "
             f"{COT_SINGULARITY_TOL} of 0 or pi")
 
-    lam = lambda_factor(kappa[:, None], scaled[mesh.face_edges])
+    lam = lambda_factor(kappa[:, None], point.slot_lengths)
     # cotangent opposite to edge slot s is at corner slot s+2
     cot_opp = (np.cos(tilde) / np.sin(tilde))[:, [2, 0, 1]]
 
@@ -130,14 +130,14 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
     return eta, diag
 
 
-def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray, scaled: np.ndarray,
-                      angles: np.ndarray) -> sp.csc_matrix:
+def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray,
+                      point: Point) -> sp.csc_matrix:
     """Sparse Jacobian D - Delta_eta at u, filled into the mesh's plan.
 
     The arguments are those of :func:`jacobian_weights`, which gives the
     values; the result shares its index arrays with ``plan.pattern``.
     """
-    eta, diag = jacobian_weights(mesh, kappa, scaled, angles)
+    eta, diag = jacobian_weights(mesh, kappa, point)
     plan = jacobian_plan(mesh)
     w = eta[plan.keep]
     values = np.concatenate([-w, -w, w, w, diag])

@@ -212,8 +212,8 @@ def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
     m = gen_octagon_genus2()
     for level in range(levels):
         kappa = np.full(m.mesh.face_count, kappa_value)
-        margin = geometry.acuteness_margin(
-            geometry.corner_angles(m.mesh, kappa, m.lengths))
+        margin = geometry.acuteness_margin(geometry.corner_angles(
+            m.mesh, kappa, m.lengths[m.mesh.face_edges]))
         result = newton_solve(m.mesh, kappa, m.lengths)
         error = float(np.max(np.abs(result.u + math.log(-kappa_value))))
         rows.append(StudyRow(level=level,

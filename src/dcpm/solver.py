@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InfeasibleFaceError, acuteness_margin, evaluate_point
+from .geometry import InfeasibleFaceError, Point, acuteness_margin, evaluate_point
 from .jacobian import LinearSolveError, NotPositiveDefiniteError, assemble_jacobian
 from .mesh import SurfaceMesh, validate_topology
 
@@ -264,31 +264,29 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     return _newton(mesh, *_start_point(mesh, kappa, lengths, u), cfg, _HeldFactor())
 
 
-def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
+def _newton(mesh, kappa, lengths, point: Point, cfg: SolveConfig,
             held: _HeldFactor) -> SolveResult:
     """The iteration of :func:`newton_solve`, from an evaluated point,
     solving its systems through ``held``."""
-    u, scaled, angles, K = point
-    del point  # newton_solve's start arrays are freed by the first accepted step
     step_log, used_gradient_fallback = [], False
     for it in range(cfg.max_iterations):
-        if float(np.abs(K).max()) <= cfg.tolerance:
+        if float(np.abs(point.K).max()) <= cfg.tolerance:
             break
 
         try:
-            d = held.solve(assemble_jacobian(mesh, kappa, scaled, angles), -K)
+            d = held.solve(assemble_jacobian(mesh, kappa, point), -point.K)
         except NotPositiveDefiniteError:
-            d = -K
+            d = -point.K
             used_gradient_fallback = True
         except LinearSolveError as exc:
             raise LinearSolveError(f"iteration {it}: {exc}") from None
 
-        norm2 = float(np.linalg.norm(K))
+        norm2 = float(np.linalg.norm(point.K))
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             try:  # an infeasible trial point backtracks like an insufficient one
-                trial = evaluate_point(mesh, kappa, u + step * d, lengths)
-                if np.linalg.norm(trial[3]) <= (1.0 - BACKTRACK_SLOPE * step) * norm2:
+                trial = evaluate_point(mesh, kappa, point.u + step * d, lengths)
+                if np.linalg.norm(trial.K) <= (1.0 - BACKTRACK_SLOPE * step) * norm2:
                     break
             except InfeasibleFaceError:
                 pass
@@ -296,15 +294,14 @@ def _newton(mesh, kappa, lengths, point, cfg: SolveConfig,
         else:
             break
 
-        u, scaled, angles, K = trial
-        step_log.append((it + 1, float(np.abs(K).max()), step,
-                         acuteness_margin(angles)))
+        point = trial
+        step_log.append((it + 1, float(np.abs(point.K).max()), step,
+                         acuteness_margin(point.angles)))
 
-    residual_inf = float(np.abs(K).max())
-    return SolveResult(u=u, residual_inf=residual_inf, iterations=len(step_log),
-                       converged=residual_inf <= cfg.tolerance, angles=angles,
-                       step_log=step_log,
-                       used_gradient_fallback=used_gradient_fallback)
+    residual_inf = float(np.abs(point.K).max())
+    return SolveResult(u=point.u, residual_inf=residual_inf, iterations=len(step_log),
+                       converged=residual_inf <= cfg.tolerance, angles=point.angles,
+                       step_log=step_log, used_gradient_fallback=used_gradient_fallback)
 
 
 def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
@@ -323,8 +320,7 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     """
     cfg = cfg or ContinuationConfig()
     kappa, lengths, point = _start_point(mesh, kappa, lengths, u0)
-    K0 = point[3]
-    held = _HeldFactor()
+    K0, held = point.K, _HeldFactor()
 
     def evaluate(u: np.ndarray, t: float, curvature: bool = True):
         return _feasible_point(mesh, kappa, lengths, u,
@@ -333,16 +329,16 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
 
     d = None  # the last solution of J d = K0, a guess for the next
 
-    def velocity(p) -> np.ndarray:  # = (Delta - D)^{-1} K0 at a point
+    def velocity(p: Point) -> np.ndarray:  # = (Delta - D)^{-1} K0 at a point
         nonlocal d
-        d = held.solve(assemble_jacobian(mesh, kappa, p[1], p[2]), K0, d)
+        d = held.solve(assemble_jacobian(mesh, kappa, p), K0, d)
         return -d
 
     check_steps = {int(np.ceil(c * cfg.steps)) for c in CHECKPOINTS}
     checkpoint_log = []
     h = 1.0 / cfg.steps
     for n in range(cfg.steps):
-        t, u = n * h, point[0]
+        t, u = n * h, point.u
         k1 = velocity(point)  # stages 2-4 need no K
         k2 = velocity(evaluate(u + 0.5 * h * k1, t + 0.5 * h, False))
         k3 = velocity(evaluate(u + 0.5 * h * k2, t + 0.5 * h, False))
@@ -350,15 +346,14 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
         t = (n + 1) / cfg.steps
         point = evaluate(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t)
         if n + 1 in check_steps:
-            defect = float(np.abs(point[3] - (1.0 - t) * K0).max())
-            checkpoint_log.append((t, float(np.abs(point[3]).max()), defect))
+            defect = float(np.abs(point.K - (1.0 - t) * K0).max())
+            checkpoint_log.append((t, float(np.abs(point.K).max()), defect))
 
     if cfg.newton_polish:
         result = _newton(mesh, kappa, lengths, point, SolveConfig(), held)
     else:
-        u, _, angles, K = point
-        result = SolveResult(u=u, residual_inf=float(np.abs(K).max()),
-                             iterations=0, converged=False, angles=angles)
+        result = SolveResult(u=point.u, residual_inf=float(np.abs(point.K).max()),
+                             iterations=0, converged=False, angles=point.angles)
     result.linearity_defect = max(d for _, _, d in checkpoint_log)
     result.checkpoint_log = checkpoint_log
     return result
@@ -379,6 +374,6 @@ def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
     total = 0.0
     for t, w in zip(0.5 * (nodes + 1.0), weights):
         K = _feasible_point(mesh, kappa, lengths, u + t * delta,
-                            "infeasible point at path parameter {:.6g}", t)[3]
+                            "infeasible point at path parameter {:.6g}", t).K
         total += 0.5 * w * float(K @ delta)
     return total

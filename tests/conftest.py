@@ -125,10 +125,9 @@ def random_feasible_instance(m, rng, kappa_range=(-2.0, -0.5), u_scale=0.1):
 
 
 def _at(assemble, mesh, kappa, u, lengths):
-    from dcpm.geometry import corner_angles, scale_lengths
+    from dcpm.geometry import evaluate_point
 
-    scaled = scale_lengths(mesh, u, lengths)
-    return assemble(mesh, kappa, scaled, corner_angles(mesh, kappa, scaled))
+    return assemble(mesh, kappa, evaluate_point(mesh, kappa, u, lengths, False))
 
 
 def jacobian_at(mesh, kappa, u, lengths):

@@ -235,6 +235,48 @@ def test_unreadable_or_unwritable_file_exits_2(cli_paths, argv, code, err,
     test_exit_code(cli_paths, argv, code, err, report, written)
 
 
+# a level whose arrays outgrow memory exits 2 with one line; each row runs in
+# a child whose address space may grow only MEMORY_HEADROOM bytes past what
+# its imports mapped, so that no test can exhaust the machine
+MEMORY_ROWS = [
+    row("gen-refine-40", EXIT_INVALID, "gen octagon --out {tmp}/m --refine 40",
+        "error: "),
+    row("converge-levels-40", EXIT_INVALID, f"{CONVERGE} 40", "error: "),
+]
+MEMORY_HEADROOM = 128 << 20
+MEMORY_LIMITED_SCRIPT = """
+import resource, sys
+import scipy.sparse.linalg  # the solver's lazy import, mapped before the limit
+from dcpm.cli import main
+limit = (int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+         + int(sys.argv[1]))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def child_env():
+    """The environment of a child Python that imports this ``dcpm``."""
+    src = str(Path(dcpm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").is_file(),
+                    reason="the limit is set from /proc/self/statm")
+@pytest.mark.parametrize("argv, code, err, report, written", MEMORY_ROWS)
+def test_level_past_memory_exits_2(cli_paths, argv, code, err, report, written):
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_LIMITED_SCRIPT, str(MEMORY_HEADROOM),
+         *(word.format(**cli_paths) for word in argv.split())],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
+    assert (proc.stdout == "") if report is None else (report in proc.stdout)
+    left = sorted(p.name for p in Path(cli_paths["tmp"]).rglob("*"))
+    assert left == sorted(written)
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -462,13 +504,10 @@ print(json.dumps({"codes": codes, "scipy_before_solve": before}))
 
 
 def test_gen_and_check_do_not_load_scipy(tmp_path):
-    src = str(Path(dcpm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY_SCRIPT, str(tmp_path / "m.mesh"),
          str(tmp_path / "check.txt"), str(tmp_path / "u.out")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["scipy_before_solve"] == []

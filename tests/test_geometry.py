@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dcpm import geometry
 from dcpm.geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
-                           discrete_curvature, gauss_bonnet_residual,
+                           discrete_curvature, evaluate_point, gauss_bonnet_residual,
                            infeasible_slots, max_length, model_length,
                            scale_lengths, triangle_angles)
 
@@ -129,14 +129,14 @@ def test_corner_angles_pillow():
     kappa = np.array([-1.0, -1.0])
     h = model_length(-1.0, 1.0)
     expected = triangle_angles(np.array([h, h, h]))
-    angles = corner_angles(mesh, kappa, lengths)
+    angles = corner_angles(mesh, kappa, lengths[mesh.face_edges])
     np.testing.assert_allclose(angles, np.tile(expected, (2, 1)), rtol=1e-14)
 
 
 def test_infeasible_face_reports_face_id():
     mesh, lengths = make_pillow(5.0, 1.0, 1.0)
     with pytest.raises(InfeasibleFaceError) as exc:
-        corner_angles(mesh, np.array([-1.0, -1.0]), lengths)
+        corner_angles(mesh, np.array([-1.0, -1.0]), lengths[mesh.face_edges])
     assert 0 in exc.value.face_ids
 
 
@@ -260,8 +260,7 @@ def test_gauss_bonnet_random(octagon1):
     for _ in range(25):
         kappa, u = random_feasible_instance(octagon1, rng)
         residual = gauss_bonnet_residual(
-            mesh, corner_angles(mesh, kappa,
-                                scale_lengths(mesh, u, octagon1.lengths)))
+            mesh, evaluate_point(mesh, kappa, u, octagon1.lengths).angles)
         assert abs(residual) <= 1e-9 * mesh.face_count
 
 
@@ -279,7 +278,7 @@ def test_acuteness_margin_equilateral(octagon1):
     mesh = octagon1.mesh
     lengths = np.full(mesh.edge_count, 2.0 * np.sinh(0.5))
     kappa = np.full(mesh.face_count, -1.0)
-    margin = acuteness_margin(corner_angles(mesh, kappa, lengths))
+    margin = acuteness_margin(corner_angles(mesh, kappa, lengths[mesh.face_edges]))
     assert margin == pytest.approx(np.pi / 2 - EQUILATERAL_H1_ANGLE, rel=1e-12)
 
 
@@ -297,7 +296,8 @@ def test_margin_euclidean_limit(octagon1):
     base = np.full(mesh.edge_count, 1.0)
     # hyperbolic angles grow toward the Euclidean pi/3 as lengths shrink,
     # so the margin decreases toward pi/6 (stop before roundoff dominates)
-    margins = [acuteness_margin(corner_angles(mesh, kappa, base * 10.0**-k))
+    margins = [acuteness_margin(corner_angles(mesh, kappa,
+                                              base[mesh.face_edges] * 10.0**-k))
                for k in range(1, 5)]
     assert all(m2 < m1 for m1, m2 in zip(margins, margins[1:]))
     assert margins[-1] == pytest.approx(np.pi / 6, abs=1e-6)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpm.calculus import laplacian_matrix
-from dcpm.geometry import corner_angles, model_length, scale_lengths, triangle_angles
+from dcpm.geometry import evaluate_point, model_length, scale_lengths, triangle_angles
 from dcpm.jacobian import (NotPositiveDefiniteError, jacobian_plan,
                            jacobian_weights, lambda_factor, tilde_theta)
 
@@ -184,10 +184,13 @@ def assert_same_csc(J, ref):
 
 
 def evaluated(m, seed):
-    """kappa, scaled lengths and angles of a random feasible instance."""
+    """kappa, scaled lengths and the evaluated point of a random feasible
+    instance; the point's slot lengths are the scaled lengths per slot."""
     kappa, u = random_feasible_instance(m, np.random.default_rng(seed))
     scaled = scale_lengths(m.mesh, u, m.lengths)
-    return kappa, scaled, corner_angles(m.mesh, kappa, scaled)
+    point = evaluate_point(m.mesh, kappa, u, m.lengths, False)
+    assert np.array_equal(point.slot_lengths, scaled[m.mesh.face_edges])
+    return kappa, scaled, point
 
 
 # the (3,) and (2, 3) shapes of the angle tests
@@ -214,12 +217,13 @@ def test_weights_and_assembly_match_reference(octagon_levels, name, seed):
     from dcpm.jacobian import assemble_jacobian
 
     m = WEIGHTED_MESHES[name](octagon_levels)
-    kappa, scaled, angles = evaluated(m, seed)
+    kappa, scaled, point = evaluated(m, seed)
+    angles = point.angles
     assert np.array_equal(tilde_theta(angles), tilde_theta_ref(angles))
-    for got, want in zip(jacobian_weights(m.mesh, kappa, scaled, angles),
+    for got, want in zip(jacobian_weights(m.mesh, kappa, point),
                          jacobian_weights_ref(m.mesh, kappa, scaled, angles)):
         assert np.array_equal(got, want)
-    assert_same_csc(assemble_jacobian(m.mesh, kappa, scaled, angles),
+    assert_same_csc(assemble_jacobian(m.mesh, kappa, point),
                     jacobian_ref(m.mesh, kappa, scaled, angles))
 
 
@@ -230,9 +234,9 @@ def test_assemblies_own_their_values(octagon2):
     m = octagon2
     plan = jacobian_plan(m.mesh)
     pattern_data = plan.pattern.data.copy()
-    args = (m.mesh, *evaluated(m, 7))
-    J1, J2 = assemble_jacobian(*args), assemble_jacobian(*args)
-    ref = jacobian_ref(*args)
+    kappa, scaled, point = evaluated(m, 7)
+    J1, J2 = (assemble_jacobian(m.mesh, kappa, point) for _ in range(2))
+    ref = jacobian_ref(m.mesh, kappa, scaled, point.angles)
     assert J1 is not J2 and plan.pattern is not J1 and plan.pattern is not J2
     assert not np.shares_memory(J1.data, J2.data)
     for J in (J1, J2):
