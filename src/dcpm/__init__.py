@@ -12,9 +12,8 @@ from .mesh import (MeshError, SurfaceMesh, TopologyReport, dump_mesh,
 from .models import (ModelSurface, convergence_study, dual_distance_kappa,
                      gen_octagon_genus2, octagon_fixture, refine_midpoint,
                      true_angle_sum_defect)
-from .solver import (ContinuationConfig, InfeasibleStartError, LinearSolveError,
-                     NotPositiveDefiniteError, SolveConfig, SolveResult, SolverInputError,
-                     continuation_solve, energy_along_path, newton_solve, solve_linear_spd,
-                     validate_inputs)
+from .solver import (ContinuationConfig, LinearSolveError, NotPositiveDefiniteError,
+                     SolveConfig, SolveResult, SolverInputError, continuation_solve,
+                     energy_along_path, newton_solve, solve_linear_spd, validate_inputs)
 
 __version__ = "0.1.0"

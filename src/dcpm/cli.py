@@ -8,8 +8,9 @@ Each ``cmd_*`` only computes and returns (exit code, report, {path: text}).
 so one that is unwritable or names an input file exits 2 with nothing
 written; then it writes the files in order, the report file last, prints
 the report and maps the exit code: 0 success, 2 parse/validation error, a
-file that cannot be read or written, or an input too large for memory,
-3 infeasible configuration, 4 non-convergence (outputs still written; for
+file that cannot be read or written, an input too large for memory or a
+scipy that cannot be imported, 3 infeasible configuration (any
+``InfeasibleFaceError``), 4 non-convergence (outputs still written; for
 ``converge``, a level that did not converge) or a failed linear solve
 (nothing written).  2, 3 and 4 write one ``error:`` line to stderr.
 A malformed command line is a ``CliError`` too: the parser raises it instead
@@ -34,8 +35,8 @@ from .calculus import isoperimetric_constant
 from .geometry import InfeasibleFaceError
 from .mesh import MeshError, SurfaceMesh, ascii_number, dump_mesh, \
     load_face_curvature, load_mesh, validate_topology
-from .solver import ContinuationConfig, InfeasibleStartError, LinearSolveError, \
-    SolveConfig, SolverInputError, continuation_solve, newton_solve
+from .solver import ContinuationConfig, LinearSolveError, SolveConfig, \
+    SolverInputError, continuation_solve, newton_solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -327,11 +328,9 @@ def main(argv=None) -> int:
         if code != EXIT_NO_CONVERGENCE:
             return code
         message = "no convergence; the best iterate was written"
-    except (InfeasibleStartError, InfeasibleFaceError) as exc:
+    except InfeasibleFaceError as exc:
         code, message = EXIT_INFEASIBLE, str(exc)
-    # InfeasibleStartError is a SolverInputError, so it is caught above; a
-    # MemoryError is an input too large for the machine, such as a level
-    except (CliError, SolverInputError, MemoryError) as exc:
+    except (CliError, SolverInputError, MemoryError, ImportError) as exc:
         code, message = EXIT_INVALID, str(exc) or "out of memory"
     except LinearSolveError as exc:
         code, message = EXIT_NO_CONVERGENCE, f"linear solve failed: {exc}"

@@ -26,12 +26,13 @@ MAX_MODEL_PERIMETER = float(np.log(np.finfo(float).max))
 
 
 class InfeasibleFaceError(Exception):
-    """A face's model lengths fail the triangle inequality or overflow."""
+    """Faces whose model lengths fail the triangle inequality or overflow;
+    ``where``, if given, names the point that failed and starts the message."""
 
-    def __init__(self, face_ids):
+    def __init__(self, face_ids, where: str = ""):
         self.face_ids = list(face_ids)
         super().__init__(
-            "infeasible face(s) "
+            (f"{where}: " if where else "") + "infeasible face(s) "
             + ", ".join(str(f) for f in self.face_ids[:8])
             + ("..." if len(self.face_ids) > 8 else "")
             + ": model lengths violate the triangle inequality or overflow")

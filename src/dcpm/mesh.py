@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class SurfaceMesh:
     Attributes
     ----------
     vertex_count : int
-        Vertices are the integers ``0 .. vertex_count-1``.
+        Vertices are the integers ``0 .. vertex_count-1``; an integer > 0.
     edges : (E, 2) int array
         Endpoint vertices of each edge; loops (``a == b``) are allowed.
     face_edges : (F, 3) int array
@@ -51,7 +52,7 @@ class SurfaceMesh:
     face_signs : (F, 3) int array
         +1 if the face walks the edge a→b, -1 for b→a.
     edge_ids, face_ids : (E,), (F,) int arrays
-        External ids, preserved from the input file.
+        External ids, preserved from the input file; dump_mesh needs them distinct.
     edge_slots : (E, 2) int array
         The two face slots (``3 * face + slot``, increasing) holding each edge.
     slot_ends : (2, F, 3) int array
@@ -73,22 +74,24 @@ class SurfaceMesh:
     slot_ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
-        self.face_edges = np.ascontiguousarray(self.face_edges, dtype=np.int64)
-        self.face_signs = np.ascontiguousarray(self.face_signs, dtype=np.int64)
-        self.edge_ids = np.ascontiguousarray(self.edge_ids, dtype=np.int64)
-        self.face_ids = np.ascontiguousarray(self.face_ids, dtype=np.int64)
+        for name in ("edges", "face_edges", "face_signs", "edge_ids", "face_ids"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
 
+        if not len(self.face_edges):
+            raise MeshError("mesh has no faces")
+        if not (isinstance(self.vertex_count, Integral) and self.vertex_count > 0):
+            raise MeshError("vertex count must be an integer > 0")
+        if (self.edge_ids.shape, self.face_ids.shape) != ((len(self.edges),),
+                                                          (len(self.face_edges),)):
+            raise MeshError("edge_ids and face_ids must hold one id per edge and face")
         # every vertex of a closed surface is a face corner
         if self.vertex_count > 3 * len(self.face_edges):
             raise MeshError(f"vertex count {self.vertex_count} exceeds "
                             "3 * face count")
-        if self.edges.size and (self.edges.min() < 0
-                                or self.edges.max() >= self.vertex_count):
-            raise MeshError("edge endpoint out of vertex range")
-        if self.face_edges.size and (self.face_edges.min() < 0
-                                     or self.face_edges.max() >= len(self.edges)):
+        if self.face_edges.min() < 0 or self.face_edges.max() >= len(self.edges):
             raise MeshError("face edge index out of range")
+        if self.edges.min() < 0 or self.edges.max() >= self.vertex_count:
+            raise MeshError("edge endpoint out of vertex range")
         slot_count = np.bincount(self.face_edges.ravel(), minlength=len(self.edges))
         if (slot_count > 2).any():
             eid = self.edge_ids[np.argmax(slot_count > 2)]
@@ -241,12 +244,16 @@ def load_mesh(text: str) -> tuple[SurfaceMesh, np.ndarray]:
 
     if vertex_count is None:
         raise MeshError("missing 'v' line")
-    if not face_ids:
-        raise MeshError("mesh has no faces")
 
     mesh = SurfaceMesh(vertex_count, edges, np.reshape(face_edges, (-1, 3)),
                        np.reshape(face_signs, (-1, 3)), list(index), list(face_ids))
     return mesh, np.array(lengths, dtype=float)
+
+
+def _repeated_ids(ids: np.ndarray) -> np.ndarray:
+    """The ids that ``ids`` holds more than once, by a sort and a compare."""
+    ids = np.sort(ids)
+    return ids[1:][ids[1:] == ids[:-1]]
 
 
 def dump_mesh(mesh: SurfaceMesh, lengths: np.ndarray) -> str:
@@ -254,6 +261,9 @@ def dump_mesh(mesh: SurfaceMesh, lengths: np.ndarray) -> str:
     if np.shape(lengths) != (mesh.edge_count,) or not (
             np.isfinite(lengths) & np.greater(lengths, 0)).all():
         raise ValueError(f"lengths must be {mesh.edge_count} finite values > 0")
+    for what, ids in (("edge", mesh.edge_ids), ("face", mesh.face_ids)):
+        if (twice := _repeated_ids(ids)).size:
+            raise ValueError(f"duplicate {what} id {twice[0]}")
     out = [MAGIC, f"v {mesh.vertex_count}"]
     out += [f"e {eid} {a} {b} {length:.17g}" for eid, (a, b), length in zip(
         mesh.edge_ids.tolist(), mesh.edges.tolist(), np.asarray(lengths).tolist())]
@@ -357,6 +367,8 @@ def load_face_curvature(text: str, mesh: SurfaceMesh) -> np.ndarray:
         if fid in values:
             raise MeshError(f"line {lineno}: duplicate face id {fid}")
         values[fid] = _parse_number(float, toks[2], "curvature", lineno)
+    if (twice := _repeated_ids(mesh.face_ids)).size:
+        raise MeshError(f"mesh has duplicate face id {twice[0]}")
     face_ids = mesh.face_ids.tolist()
     for fid in face_ids:
         if fid not in values:

@@ -58,10 +58,6 @@ class SolverInputError(Exception):
     """Inputs fail the solver's preconditions (topology, shapes, signs)."""
 
 
-class InfeasibleStartError(SolverInputError):
-    """A face's model lengths are infeasible at the start or along the path."""
-
-
 def _check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ValueError unless ``value`` is an integer (NumPy's too) >= ``minimum``."""
     if not (isinstance(value, numbers.Integral) and value >= minimum):
@@ -234,13 +230,13 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, *us):
     return (kappa, lengths, *us)
 
 
-def _feasible_point(mesh, kappa, lengths, u, message: str, *args, curvature=True):
-    """:func:`~dcpm.geometry.evaluate_point` at u; an infeasible face raises
-    InfeasibleStartError with ``message.format(*args)``, formatted only then."""
+def _feasible_point(mesh, kappa, lengths, u, where: str, *args, curvature=True):
+    """:func:`~dcpm.geometry.evaluate_point` at u; its InfeasibleFaceError is
+    raised again with ``where.format(*args)``, formatted only then."""
     try:
         return evaluate_point(mesh, kappa, u, lengths, curvature)
     except InfeasibleFaceError as exc:
-        raise InfeasibleStartError(f"{message.format(*args)}: {exc}") from None
+        raise InfeasibleFaceError(exc.face_ids, where.format(*args)) from None
 
 
 def _start_point(mesh, kappa, lengths, u):
@@ -366,7 +362,7 @@ def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
 
     32-point Gauss-Legendre quadrature; a path-independence and convexity diagnostic
     for the underlying energy (its gradient is K, its Hessian symmetric).
-    Inputs pass :func:`validate_inputs`; an infeasible node raises InfeasibleStartError.
+    Inputs pass :func:`validate_inputs`; an infeasible node raises InfeasibleFaceError.
     """
     kappa, lengths, u, u_end = validate_inputs(mesh, kappa, lengths, u_start, u_end)
     delta = u_end - u

@@ -277,6 +277,28 @@ def test_level_past_memory_exits_2(cli_paths, argv, code, err, report, written):
     assert left == sorted(written)
 
 
+# a scipy that cannot be imported exits 2 with one line, and nothing written
+SCIPY_HALTED_SCRIPT = """
+import sys
+sys.modules["scipy.sparse"] = None  # every import of it raises ImportError
+from dcpm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [f"{SOLVE} const:-1", f"{FLOW} 4",
+                                  f"{CONVERGE} 1"], ids=["solve", "flow", "converge"])
+def test_scipy_import_error_exits_2(cli_paths, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_HALTED_SCRIPT,
+         *(word.format(**cli_paths) for word in argv.split())],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr == ("error: import of scipy.sparse halted; "
+                           "None in sys.modules\n")
+    assert proc.stdout == "" and not any(Path(cli_paths["tmp"]).iterdir())
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -316,6 +316,96 @@ def test_surface_mesh_takes_signs_of_one(tetra, face, slot, sign):
                     mesh.edge_ids, mesh.face_ids)
 
 
+def _octagon0_with(vertex_count=None, edge_ids=None, face_ids=None):
+    def build(m):
+        return SurfaceMesh(m.vertex_count if vertex_count is None else vertex_count,
+                           m.edges, m.face_edges, m.face_signs,
+                           m.edge_ids if edge_ids is None else edge_ids,
+                           m.face_ids if face_ids is None else face_ids)
+    return build
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: SurfaceMesh(0, np.empty((0, 2)), np.empty((0, 3)), np.empty((0, 3)),
+                           [], []), "^mesh has no faces$"),
+    (_octagon0_with(vertex_count=2.0), "^vertex count must be an integer > 0$"),
+    (_octagon0_with(vertex_count=0), "^vertex count must be an integer > 0$"),
+    (_octagon0_with(vertex_count=-3), "^vertex count must be an integer > 0$"),
+    (_octagon0_with(edge_ids=[0, 1, 2]), "one id per edge and face"),
+    (_octagon0_with(face_ids=[0, 1, 2]), "one id per edge and face"),
+    (_octagon0_with(face_ids=np.arange(8)[:, None]), "one id per edge and face"),
+    (_octagon0_with(edge_ids=7), "one id per edge and face"),
+], ids=["no-faces", "vertex-count-float", "vertex-count-0", "vertex-count-negative",
+        "3-edge-ids", "3-face-ids", "face-ids-column", "edge-id-scalar"])
+def test_surface_mesh_owns_counts_and_id_columns(octagon0, build, message):
+    # each used to build, then fail later with an IndexError or a short file
+    with pytest.raises(MeshError, match=message):
+        build(octagon0.mesh)
+
+
+def test_curvature_reader_refuses_repeated_face_ids(octagon0):
+    # the faces of id 0 would share one curvature line
+    m = octagon0.mesh
+    twice = _octagon0_with(face_ids=np.r_[0, np.arange(m.face_count - 1)])(m)
+    text = "".join(f"k {f} -1\n" for f in range(m.face_count - 1))
+    with pytest.raises(MeshError, match="^mesh has duplicate face id 0$"):
+        load_face_curvature(text, twice)
+
+
+def _end_of(vertex_count, surface, edge_ids, face_ids):
+    """Where a code-built mesh ends: "SurfaceMesh" (MeshError), "dump_mesh"
+    (ValueError) or "round trip", once load_mesh gives its arrays back."""
+    m = surface.mesh
+    try:
+        mesh = SurfaceMesh(vertex_count, m.edges, m.face_edges, m.face_signs,
+                           edge_ids, face_ids)
+    except MeshError:
+        return "SurfaceMesh"
+    try:
+        text = dump_mesh(mesh, surface.lengths)
+    except ValueError:
+        return "dump_mesh"
+    loaded, lengths = load_mesh(text)
+    assert loaded.vertex_count == mesh.vertex_count
+    for name in ("edges", "face_edges", "face_signs", "edge_ids", "face_ids"):
+        assert np.array_equal(getattr(loaded, name), getattr(mesh, name)), name
+    assert np.array_equal(lengths, surface.lengths)
+    return "round trip"
+
+
+def _repeat(ids, rng):
+    i, j = rng.choice(len(ids), 2, replace=False)
+    ids[i] = ids[j]
+    return ids
+
+
+# mutation: (edit of (V, edge ids, face ids, rng), where the draw must end)
+ID_MUTATIONS = {
+    "none": (lambda V, e, f, rng: (V, e, f), "round trip"),
+    "vertex-count-int64": (lambda V, e, f, rng: (np.int64(V), e, f), "round trip"),
+    "repeat-edge-id": (lambda V, e, f, rng: (V, _repeat(e, rng), f), "dump_mesh"),
+    "repeat-face-id": (lambda V, e, f, rng: (V, e, _repeat(f, rng)), "dump_mesh"),
+    "drop-last-edge-id": (lambda V, e, f, rng: (V, e[:-1], f), "SurfaceMesh"),
+    "drop-last-face-id": (lambda V, e, f, rng: (V, e, f[:-1]), "SurfaceMesh"),
+    "vertex-count-0": (lambda V, e, f, rng: (0, e, f), "SurfaceMesh"),
+    "vertex-count-2.5": (lambda V, e, f, rng: (2.5, e, f), "SurfaceMesh"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.sampled_from(list(ID_MUTATIONS)),
+       st.integers(0, 2**32 - 1))
+def test_code_built_mesh_is_refused_once_or_round_trips(octagon_levels, level,
+                                                        mutation, seed):
+    # never an IndexError, and never a file that load_mesh refuses
+    surface, rng = octagon_levels[level], np.random.default_rng(seed)
+    edit, expected = ID_MUTATIONS[mutation]
+    vertex_count, edge_ids, face_ids = edit(
+        surface.mesh.vertex_count, rng.permutation(surface.mesh.edge_ids),
+        rng.permutation(surface.mesh.face_ids), rng)
+    assert _end_of(vertex_count, surface, edge_ids, face_ids) == expected
+
+
 def test_surface_mesh_compares_by_identity(tetra, octagon1):
     # a generated __eq__ would compare arrays and raise on truth testing
     mesh, twin = tetra[0], load_mesh(TETRA_TEXT)[0]

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpm import models, solver
-from dcpm.geometry import (acuteness_margin, corner_angles, discrete_curvature,
-                           evaluate_point)
-from dcpm.solver import (ContinuationConfig, InfeasibleStartError,
-                         LinearSolveError, NotPositiveDefiniteError,
-                         SolveConfig, SolverInputError, continuation_solve,
-                         energy_along_path, newton_solve, solve_linear_spd,
-                         validate_inputs)
+from dcpm.geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
+                           discrete_curvature, evaluate_point, infeasible_slots,
+                           model_length, scale_lengths)
+from dcpm.solver import (ContinuationConfig, LinearSolveError,
+                         NotPositiveDefiniteError, SolveConfig, SolverInputError,
+                         continuation_solve, energy_along_path, newton_solve,
+                         solve_linear_spd, validate_inputs)
 
 from conftest import (TETRA_TEXT, degenerate_lengths, jacobian_at,
                       random_feasible_instance)
@@ -50,7 +50,7 @@ def test_rejects_infeasible_start(octagon1):
     u0[c0] = u0[c1] = 6.0
     u0[c2] = -6.0
     cfg = SolveConfig(initial_u=u0)
-    with pytest.raises(SolverInputError, match="infeasible"):
+    with pytest.raises(InfeasibleFaceError, match="infeasible"):
         newton_solve(octagon1.mesh, kappa_const(octagon1), octagon1.lengths, cfg)
 
 
@@ -59,9 +59,43 @@ def test_infeasible_start_is_its_own_error(octagon1):
     u0 = np.zeros(octagon1.mesh.vertex_count)
     u0[c0] = u0[c1] = 6.0
     u0[c2] = -6.0
-    with pytest.raises(InfeasibleStartError, match="initial point infeasible"):
+    with pytest.raises(InfeasibleFaceError, match="initial point infeasible"):
         continuation_solve(octagon1.mesh, kappa_const(octagon1), octagon1.lengths,
                            u0, ContinuationConfig(steps=1))
+
+
+def flagged_face_ids(m, kappa, u):
+    """The ids of the faces that infeasible_slots flags at u."""
+    slot_lengths = scale_lengths(m.mesh, u, m.lengths)[m.mesh.face_edges]
+    return m.mesh.face_ids[infeasible_slots(model_length(kappa[:, None], slot_lengths))]
+
+
+def test_infeasibility_names_its_faces_and_point(octagon1):
+    # every solver raises the geometry's error, with the flagged faces' ids
+    m, kappa = octagon1, kappa_const(octagon1)
+    c0, c1, c2 = m.mesh.face_corners[0]
+    u0 = np.zeros(m.mesh.vertex_count)
+    u0[c0] = u0[c1] = 6.0
+    u0[c2] = -6.0
+    expected = flagged_face_ids(m, kappa, u0)
+    assert len(expected) > 0
+    for run in (lambda: newton_solve(m.mesh, kappa, m.lengths, SolveConfig(initial_u=u0)),
+                lambda: continuation_solve(m.mesh, kappa, m.lengths, u0,
+                                           ContinuationConfig(steps=1))):
+        with pytest.raises(InfeasibleFaceError, match="^initial point infeasible: ") as exc:
+            run()
+        assert exc.value.face_ids == expected.tolist()
+
+    # along a path, the first infeasible quadrature node fails
+    zero, end = np.zeros(m.mesh.vertex_count), np.zeros(m.mesh.vertex_count)
+    end[0] = -10.0
+    nodes = 0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)
+    t, expected = next((t, ids) for t in nodes
+                       if len(ids := flagged_face_ids(m, kappa, t * end)))
+    with pytest.raises(InfeasibleFaceError,
+                       match=f"^infeasible point at path parameter {t:.6g}: ") as exc:
+        energy_along_path(m.mesh, kappa, m.lengths, zero, end)
+    assert exc.value.face_ids == expected.tolist()
 
 
 def _with(**change):
@@ -96,7 +130,7 @@ def test_rejects_bad_inputs(octagon1, case, method):
         else:
             continuation_solve(octagon1.mesh, x["kappa"], x["lengths"], x["u"],
                                ContinuationConfig(steps=1))
-    assert not isinstance(exc.value, InfeasibleStartError)
+    assert not isinstance(exc.value, InfeasibleFaceError)
     assert "infeasible" not in str(exc.value)
 
 
@@ -619,7 +653,7 @@ def test_energy_along_path_checks_inputs(octagon1):
     # shrinking the center's edges makes its faces infeasible along the path
     end = zero.copy()
     end[0] = -10.0
-    with pytest.raises(InfeasibleStartError, match="path parameter"):
+    with pytest.raises(InfeasibleFaceError, match="path parameter"):
         energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, end)
 
 

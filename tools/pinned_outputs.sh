@@ -1,8 +1,9 @@
 #!/bin/sh
 # Write the CLI outputs that must not change between runs, or between two
 # versions of the code that keep the numerics, into OUTDIR; compare two such
-# directories with `diff -r`.  Runs `python -m dcpm.cli` with the caller's
-# PYTHONPATH.
+# directories with `diff -r`.  The outputs include the error line and exit
+# code of each documented failure.  Runs `python -m dcpm.cli` with the
+# caller's PYTHONPATH.
 #
 #   PYTHONPATH=src sh tools/pinned_outputs.sh OUTDIR
 set -eu
@@ -25,3 +26,17 @@ dcpm gen octagon --refine 5 --out "$d/octagon5.mesh"
 dcpm check --mesh "$d/octagon5.mesh" --kappa const:-1.3 --report "$d/check5.txt"
 dcpm solve --mesh "$d/octagon5.mesh" --kappa const:-1.3 --report "$d/solve5.txt" --out "$d/u5.out"
 dcpm flow --mesh "$d/octagon2.mesh" --kappa const:-1 --report "$d/flow-default.txt" --out "$d/u.flow-default" --trace "$d/trace-default.csv"
+# documented failures (exit 3 infeasible, exit 2 invalid): NAME.err holds the
+# command's stderr and then an "exit N" line
+fails() {
+  name=$1; shift
+  code=0
+  dcpm "$@" 2>"$d/$name.err" || code=$?
+  echo "exit $code" >>"$d/$name.err"
+}
+fails solve-infeasible solve --mesh "$d/octagon1.mesh" --kappa const:-1e300 --out "$d/u.infeasible"
+fails flow-infeasible flow --mesh "$d/octagon1.mesh" --kappa const:-1e300 --out "$d/u.flow-infeasible"
+fails converge-infeasible converge --levels 1 --kappa const:-1e300 --out "$d/converge-infeasible.csv"
+fails solve-no-kappa solve --mesh "$d/octagon1.mesh"
+printf 'DCPM 1\nv 0\n' >"$d/v0.mesh"
+fails check-v0 check --mesh "$d/v0.mesh"
