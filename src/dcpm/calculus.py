@@ -35,7 +35,9 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        self.edges = np.ascontiguousarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
+        if self.edges.shape[1:] != (2,):
+            raise ValueError(f"edges must be an (E, 2) array, not {self.edges.shape}")
 
 
 def gradient(graph, eta: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -51,9 +51,8 @@ def scale_lengths(mesh: SurfaceMesh, u: np.ndarray,
 
 def model_length(kappa, length):
     """Curvature -1 length H = 2*asinh((-kappa/2)*l) used for all angles."""
-    kappa = np.asarray(kappa, dtype=float)
     with np.errstate(over="ignore"):  # H = inf, which infeasible_slots flags
-        return 2.0 * np.arcsinh(0.5 * (-kappa) * np.asarray(length, dtype=float))
+        return 2.0 * np.arcsinh(0.5 * (-kappa) * length)
 
 
 def max_length(lengths: np.ndarray) -> float:
@@ -77,7 +76,6 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
     (matching the corner convention of :class:`SurfaceMesh`).  Raises
     :class:`InfeasibleFaceError` with row indices on infeasible rows.
     """
-    H = np.asarray(H, dtype=float)
     bad = np.atleast_1d(infeasible_slots(H))
     if bad.any():
         raise InfeasibleFaceError(np.nonzero(bad)[0])
@@ -110,8 +108,7 @@ def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,
     try:
         return triangle_angles(H)
     except InfeasibleFaceError as exc:
-        raise InfeasibleFaceError(
-            [int(mesh.face_ids[f]) for f in exc.face_ids]) from None
+        raise InfeasibleFaceError(mesh.face_ids[exc.face_ids].tolist()) from None
 
 
 def curvature_from_angles(mesh: SurfaceMesh, angles: np.ndarray) -> np.ndarray:

@@ -39,14 +39,13 @@ class NotPositiveDefiniteError(LinearSolveError):
 
 def tilde_theta(angles: np.ndarray) -> np.ndarray:
     """Half-angle combinations: slot s gets (pi + theta_s - theta_j - theta_k)/2."""
-    angles = np.asarray(angles, dtype=float)
     total = (angles[..., 0] + angles[..., 1] + angles[..., 2])[..., None]
     return 0.5 * (np.pi + 2.0 * angles - total)
 
 
 def lambda_factor(kappa, scaled_length):
     """kappa^2 l^2 / (kappa^2 l^2 + 4); equals tanh^2(H/2) of the model length."""
-    t = (np.asarray(kappa, dtype=float) * np.asarray(scaled_length, dtype=float)) ** 2
+    t = (kappa * scaled_length) ** 2
     return t / (t + 4.0)
 
 

@@ -74,16 +74,22 @@ class SurfaceMesh:
     slot_ends: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("edges", "face_edges", "face_signs", "edge_ids", "face_ids"):
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.int64))
-
         if not len(self.face_edges):
             raise MeshError("mesh has no faces")
         if not (isinstance(self.vertex_count, Integral) and self.vertex_count > 0):
             raise MeshError("vertex count must be an integer > 0")
-        if (self.edge_ids.shape, self.face_ids.shape) != ((len(self.edges),),
-                                                          (len(self.face_edges),)):
-            raise MeshError("edge_ids and face_ids must hold one id per edge and face")
+        names = ("edges", "face_edges", "face_signs", "edge_ids", "face_ids")
+        try:  # integers and booleans only: a float or complex array is refused
+            for name in names:
+                setattr(self, name, np.asarray(getattr(self, name)).astype(
+                    np.int64, order="C", casting="same_kind", copy=False))
+        except (TypeError, ValueError) as exc:
+            raise MeshError(f"mesh arrays must be integer arrays: {exc}") from None
+        E, F = self.edges.shape[:1], self.face_edges.shape[:1]
+        if [getattr(self, name).shape for name in names] != [E + (2,), F + (3,),
+                                                            F + (3,), E, F]:
+            raise MeshError("edges, face_edges and face_signs must be (E, 2), (F, 3) "
+                            "and (F, 3) arrays, with one id per edge and face")
         # every vertex of a closed surface is a face corner
         if self.vertex_count > 3 * len(self.face_edges):
             raise MeshError(f"vertex count {self.vertex_count} exceeds "
@@ -285,9 +291,8 @@ def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
     and isolated vertices are allowed.
     """
     label = np.arange(vertex_count)
-    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     while True:
-        la, lb = label[a], label[b]
+        la, lb = label[edges.T]
         lo = np.minimum(la, lb)
         hooked = label.copy()
         np.minimum.at(hooked, la, lo)

@@ -208,6 +208,8 @@ def convergence_study(levels: int, kappa_value: float = -1.0) -> list[StudyRow]:
     max|u + log(-kappa)|.
     """
     _check_count("levels", levels)
+    if not (kappa_value < 0 and math.isfinite(kappa_value)):
+        raise ValueError("kappa_value must be finite and < 0")
     rows = []
     m = gen_octagon_genus2()
     for level in range(levels):

@@ -70,6 +70,14 @@ def test_gradient_antisymmetry_is_structural():
     np.testing.assert_array_equal(gradient(g, eta, f), -gradient(rev, eta, f))
 
 
+@pytest.mark.parametrize("edges", [np.array([[0, 1, 2], [1, 2, 3]]), np.arange(4)],
+                         ids=["2x3", "flat-4"])
+def test_graph_takes_edge_pairs_only(edges):
+    # a (2, 3) array used to be read as the three edges 0-1, 2-1 and 2-3
+    with pytest.raises(ValueError, match=r"^edges must be an \(E, 2\) array"):
+        Graph(4, edges)
+
+
 def test_divergence_circulation():
     g = Graph(3, np.array([[0, 1], [1, 2], [2, 0]]))
     assert np.array_equal(divergence(g, np.ones(3)), np.zeros(3))

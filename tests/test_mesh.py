@@ -281,7 +281,7 @@ def test_dangling_edge_rejected():
 ])
 def test_surface_mesh_owns_slot_counts(tetra, face_edges, message):
     mesh, _ = tetra
-    signs = np.ones((len(face_edges), 3))
+    signs = np.ones((len(face_edges), 3), dtype=np.int64)
     with pytest.raises(MeshError, match=message):
         SurfaceMesh(mesh.vertex_count, mesh.edges, face_edges, signs,
                     mesh.edge_ids, np.arange(len(face_edges)))
@@ -316,12 +316,18 @@ def test_surface_mesh_takes_signs_of_one(tetra, face, slot, sign):
                     mesh.edge_ids, mesh.face_ids)
 
 
-def _octagon0_with(vertex_count=None, edge_ids=None, face_ids=None):
+MESH_ARGS = ("vertex_count", "edges", "face_edges", "face_signs", "edge_ids",
+             "face_ids")
+
+
+def _octagon0_with(**change):
+    """A build of the mesh with the named SurfaceMesh arguments changed; a
+    callable maps the mesh's own argument to the new one."""
     def build(m):
-        return SurfaceMesh(m.vertex_count if vertex_count is None else vertex_count,
-                           m.edges, m.face_edges, m.face_signs,
-                           m.edge_ids if edge_ids is None else edge_ids,
-                           m.face_ids if face_ids is None else face_ids)
+        args = {name: getattr(m, name) for name in MESH_ARGS}
+        for name, new in change.items():
+            args[name] = new(args[name]) if callable(new) else new
+        return SurfaceMesh(**args)
     return build
 
 
@@ -335,10 +341,18 @@ def _octagon0_with(vertex_count=None, edge_ids=None, face_ids=None):
     (_octagon0_with(face_ids=[0, 1, 2]), "one id per edge and face"),
     (_octagon0_with(face_ids=np.arange(8)[:, None]), "one id per edge and face"),
     (_octagon0_with(edge_ids=7), "one id per edge and face"),
+    (_octagon0_with(edges=lambda e: np.c_[e, np.zeros_like(e[:, 0])]),
+     r"^edges, face_edges and face_signs must be \(E, 2\), \(F, 3\) and \(F, 3\)"),
+    (_octagon0_with(face_signs=lambda s: s[:-1]), r"must be \(E, 2\), \(F, 3\)"),
+    (_octagon0_with(face_signs=lambda s: s[:, :2]), r"must be \(E, 2\), \(F, 3\)"),
+    (_octagon0_with(face_edges=[[0, 1, 2], [3, 4]]), "^mesh arrays must be integer"),
 ], ids=["no-faces", "vertex-count-float", "vertex-count-0", "vertex-count-negative",
-        "3-edge-ids", "3-face-ids", "face-ids-column", "edge-id-scalar"])
+        "3-edge-ids", "3-face-ids", "face-ids-column", "edge-id-scalar",
+        "edges-3-columns", "face-signs-short", "face-signs-2-columns",
+        "face-edges-ragged"])
 def test_surface_mesh_owns_counts_and_id_columns(octagon0, build, message):
-    # each used to build, then fail later with an IndexError or a short file
+    # each used to build, then fail later with an IndexError, a short file,
+    # numpy's broadcast error or a silently truncated array
     with pytest.raises(MeshError, match=message):
         build(octagon0.mesh)
 
@@ -352,13 +366,12 @@ def test_curvature_reader_refuses_repeated_face_ids(octagon0):
         load_face_curvature(text, twice)
 
 
-def _end_of(vertex_count, surface, edge_ids, face_ids):
-    """Where a code-built mesh ends: "SurfaceMesh" (MeshError), "dump_mesh"
-    (ValueError) or "round trip", once load_mesh gives its arrays back."""
-    m = surface.mesh
+def _end_of(surface, args):
+    """Where a mesh built in code from the SurfaceMesh arguments ``args`` ends:
+    "SurfaceMesh" (MeshError), "dump_mesh" (ValueError) or "round trip", once
+    load_mesh gives its arrays back."""
     try:
-        mesh = SurfaceMesh(vertex_count, m.edges, m.face_edges, m.face_signs,
-                           edge_ids, face_ids)
+        mesh = SurfaceMesh(**args)
     except MeshError:
         return "SurfaceMesh"
     try:
@@ -379,16 +392,27 @@ def _repeat(ids, rng):
     return ids
 
 
-# mutation: (edit of (V, edge ids, face ids, rng), where the draw must end)
+# mutation: ({SurfaceMesh argument: its edit, given the rng}, where the draw
+# must end); the ids are shuffled first
 ID_MUTATIONS = {
-    "none": (lambda V, e, f, rng: (V, e, f), "round trip"),
-    "vertex-count-int64": (lambda V, e, f, rng: (np.int64(V), e, f), "round trip"),
-    "repeat-edge-id": (lambda V, e, f, rng: (V, _repeat(e, rng), f), "dump_mesh"),
-    "repeat-face-id": (lambda V, e, f, rng: (V, e, _repeat(f, rng)), "dump_mesh"),
-    "drop-last-edge-id": (lambda V, e, f, rng: (V, e[:-1], f), "SurfaceMesh"),
-    "drop-last-face-id": (lambda V, e, f, rng: (V, e, f[:-1]), "SurfaceMesh"),
-    "vertex-count-0": (lambda V, e, f, rng: (0, e, f), "SurfaceMesh"),
-    "vertex-count-2.5": (lambda V, e, f, rng: (2.5, e, f), "SurfaceMesh"),
+    "none": ({}, "round trip"),
+    "vertex-count-int64": ({"vertex_count": lambda V, rng: np.int64(V)}, "round trip"),
+    "repeat-edge-id": ({"edge_ids": _repeat}, "dump_mesh"),
+    "repeat-face-id": ({"face_ids": _repeat}, "dump_mesh"),
+    "drop-last-edge-id": ({"edge_ids": lambda e, rng: e[:-1]}, "SurfaceMesh"),
+    "drop-last-face-id": ({"face_ids": lambda f, rng: f[:-1]}, "SurfaceMesh"),
+    "vertex-count-0": ({"vertex_count": lambda V, rng: 0}, "SurfaceMesh"),
+    "vertex-count-2.5": ({"vertex_count": lambda V, rng: 2.5}, "SurfaceMesh"),
+    "edges-extra-column": ({"edges": lambda a, rng: np.c_[a, np.zeros_like(a[:, 0])]},
+                           "SurfaceMesh"),
+    "edges-first-column": ({"edges": lambda a, rng: a[:, 0]}, "SurfaceMesh"),
+    "drop-last-sign-row": ({"face_signs": lambda a, rng: a[:-1]}, "SurfaceMesh"),
+    "drop-face-edge-column": (
+        {"face_edges": lambda a, rng: np.delete(a, rng.integers(3), axis=1)},
+        "SurfaceMesh"),
+    "signs-times-1.5": ({"face_signs": lambda a, rng: a * 1.5}, "SurfaceMesh"),
+    "edges-plus-0.5": ({"edges": lambda a, rng: a + 0.5}, "SurfaceMesh"),
+    "edges-complex": ({"edges": lambda a, rng: a.astype(complex)}, "SurfaceMesh"),
 }
 
 
@@ -397,13 +421,16 @@ ID_MUTATIONS = {
        st.integers(0, 2**32 - 1))
 def test_code_built_mesh_is_refused_once_or_round_trips(octagon_levels, level,
                                                         mutation, seed):
-    # never an IndexError, and never a file that load_mesh refuses
+    # never an IndexError or a numpy error, and never a file that load_mesh
+    # refuses
     surface, rng = octagon_levels[level], np.random.default_rng(seed)
-    edit, expected = ID_MUTATIONS[mutation]
-    vertex_count, edge_ids, face_ids = edit(
-        surface.mesh.vertex_count, rng.permutation(surface.mesh.edge_ids),
-        rng.permutation(surface.mesh.face_ids), rng)
-    assert _end_of(vertex_count, surface, edge_ids, face_ids) == expected
+    edits, expected = ID_MUTATIONS[mutation]
+    args = {name: getattr(surface.mesh, name) for name in MESH_ARGS}
+    for name in ("edge_ids", "face_ids"):
+        args[name] = rng.permutation(args[name])
+    for name, edit in edits.items():
+        args[name] = edit(args[name], rng)
+    assert _end_of(surface, args) == expected
 
 
 def test_surface_mesh_compares_by_identity(tetra, octagon1):

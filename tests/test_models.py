@@ -235,3 +235,10 @@ def test_convergence_study_rejects_bad_levels():
         convergence_study(0)
     with pytest.raises(ValueError, match="levels must be an integer >= 1"):
         convergence_study(2.5)
+
+
+@pytest.mark.parametrize("kappa_value", [0.0, 1.0, math.nan, -math.inf])
+def test_convergence_study_rejects_bad_kappa_value(kappa_value):
+    # each used to end in an InfeasibleFaceError naming every face of level 0
+    with pytest.raises(ValueError, match="^kappa_value must be finite and < 0$"):
+        convergence_study(1, kappa_value)

@@ -18,6 +18,8 @@ dcpm flow --mesh "$d/octagon2.mesh" --kappa const:-1 --steps 50 --report "$d/flo
 dcpm flow --mesh "$d/octagon2.mesh" --kappa const:-1 --steps 50 --no-polish --report "$d/flow-np.txt" --out "$d/u.flow-np" --trace "$d/trace-np.csv"
 dcpm gen octagon --refine 1 --out "$d/octagon1.mesh"
 dcpm check --mesh "$d/octagon1.mesh" --isoperimetric --report "$d/iso.txt"
+# the one path that reports infeasible faces instead of exiting 3
+dcpm check --mesh "$d/octagon1.mesh" --kappa const:-1e300 --report "$d/check-infeasible.txt"
 dcpm converge --levels 3 --out "$d/converge.csv"
 dcpm converge --levels 3 --kappa const:-2 --out "$d/converge-2.csv"
 # a level-5 mesh at a curvature other than -1, and a flow at the default step
