@@ -6,7 +6,8 @@ from .calculus import (EllipticReport, Graph, divergence, elliptic_estimate_chec
 from .geometry import (InfeasibleFaceError, Point, acuteness_margin, corner_angles,
                        discrete_curvature, evaluate_point, gauss_bonnet_residual,
                        max_length, model_length, scale_lengths)
-from .jacobian import assemble_jacobian, jacobian_weights, lambda_factor, tilde_theta
+from .jacobian import (assemble_jacobian, jacobian_weights, lambda_factor,
+                       operator_matrix, tilde_theta)
 from .mesh import (MeshError, SurfaceMesh, TopologyReport, dump_mesh,
                    load_face_curvature, load_mesh, validate_topology)
 from .models import (ModelSurface, convergence_study, dual_distance_kappa,

@@ -14,11 +14,14 @@ reverse direction negates the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .jacobian import operator_matrix
 from .mesh import vertex_components
+from .solver import solve_linear_spd
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -29,15 +32,25 @@ ISOPERIMETRIC_CHUNK = 1 << 18
 
 @dataclass(eq=False)
 class Graph:
-    """Bare multigraph for standalone graph-calculus use."""
+    """Bare multigraph for graph calculus: an integer ``vertex_count`` >= 0 and
+    a read-only int64 copy of the (E, 2) endpoints, each in [0, vertex_count)."""
 
     vertex_count: int
     edges: np.ndarray
 
     def __post_init__(self):
-        self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
+        if not (isinstance(self.vertex_count, Integral) and self.vertex_count >= 0):
+            raise ValueError("vertex count must be an integer >= 0")
+        try:  # integers and booleans only, as in SurfaceMesh
+            self.edges = np.asarray(self.edges).astype(np.int64, order="C",
+                                                       casting="same_kind")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"edges must be an integer array: {exc}") from None
         if self.edges.shape[1:] != (2,):
             raise ValueError(f"edges must be an (E, 2) array, not {self.edges.shape}")
+        if ((self.edges < 0) | (self.edges >= self.vertex_count)).any():
+            raise ValueError("edge endpoint out of vertex range")
+        self.edges.flags.writeable = False
 
 
 def gradient(graph, eta: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -100,6 +113,8 @@ def isoperimetric_constant(graph, lengths: np.ndarray) -> float:
             f"vertices (got {n})")
     _require_connected(graph)
     lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape != graph.edges.shape[:1]:
+        raise ValueError(f"lengths must have shape (E,) = {graph.edges.shape[:1]}")
     total = float((lengths ** 2).sum())
     a, b = graph.edges[:, 0], graph.edges[:, 1]
     l1, l2 = lengths, lengths ** 2
@@ -152,12 +167,14 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
     div(x) + y and compares against (c4 + 8*c2*sqrt(c1+1)/c3) * |l| *
     |V|_l^(1/2).
 
-    Raises ``ValueError`` on a disconnected graph or when only some of the
-    part-2 inputs are given, and ``numpy.linalg.LinAlgError`` when a system
-    is singular.
+    Both systems are built by :func:`dcpm.jacobian.operator_matrix` and solved
+    by :func:`dcpm.solver.solve_linear_spd`, which raises its
+    ``NotPositiveDefiniteError`` on a singular one.  Raises ``ValueError`` on
+    a disconnected graph or when only some of the part-2 inputs are given.
     """
     if len({y is None, diag is None, c4 is None}) > 1:
         raise ValueError("y, diag and c4 must be given together")
+    _require_connected(graph)
     lengths = np.asarray(lengths, dtype=float)
     eta = np.asarray(eta, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -170,17 +187,10 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
     linf = float(np.max(np.abs(lengths)))
     area_half = float(np.sqrt((lengths ** 2).sum()))
     rhs = divergence(graph, x)
-    _require_connected(graph)
-
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    L = laplacian_matrix(graph, eta).tocsc()
+    # Delta_eta h = rhs is -Delta_eta h = -rhs, with h pinned to 0 at vertex 0
     h = np.zeros(graph.vertex_count)
-    try:
-        h[1:] = splu(L[1:, 1:]).solve(rhs[1:])
-    except RuntimeError:
-        raise np.linalg.LinAlgError("singular system (Delta)") from None
+    h[1:] = solve_linear_spd(operator_matrix(graph, eta, np.zeros_like(h))[1:, 1:],
+                             -rhs[1:])[0]
     h -= h.mean()
     bound1 = 4.0 * c2 * np.sqrt(c1 + 1.0) / c3 * linf * area_half
     sol1 = float(np.max(np.abs(h)))
@@ -195,10 +205,7 @@ def elliptic_estimate_check(graph, lengths: np.ndarray, eta: np.ndarray,
             violations.append("diag must be nonnegative and nonzero")
         if (np.abs(y) > c4 * diag * linf * area_half * (1 + 1e-12)).any():
             violations.append("y exceeds c4 * D_ii * |l| * |V|_l^(1/2)")
-        try:
-            w = splu((sp.diags(diag) - L).tocsc()).solve(rhs + y)
-        except RuntimeError:
-            raise np.linalg.LinAlgError("singular system (D - Delta)") from None
+        w = solve_linear_spd(operator_matrix(graph, eta, diag), rhs + y)[0]
         bound2 = (c4 + 8.0 * c2 * np.sqrt(c1 + 1.0) / c3) * linf * area_half
         report.second_solution_inf = float(np.max(np.abs(w)))
         report.second_bound = bound2

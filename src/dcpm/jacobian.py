@@ -5,9 +5,8 @@ and the lambda factors; the result is the true Jacobian of
 :func:`dcpm.geometry.discrete_curvature` (checked by finite differences in
 the test suite).  Assembly reads the slot lengths and corner angles of the
 point that the caller evaluated at u; it computes no angle itself.  The
-Jacobian has one representation, the CSC matrix that
-:func:`assemble_jacobian` returns: a copy, with fresh values, of the pattern
-matrix of the per-mesh :class:`JacobianPlan`, built once, cached on the mesh.
+Jacobian has one representation, the CSC matrix of :func:`operator_matrix`:
+a copy, with fresh values, of the pattern matrix of a :class:`JacobianPlan`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def lambda_factor(kappa, scaled_length):
 
 @dataclass(frozen=True, eq=False)
 class JacobianPlan:
-    """Sparsity pattern of D - Delta_eta on one mesh, fixed by its edges.
+    """Sparsity pattern of D - Delta_eta on one mesh or graph, fixed by its edges.
 
     ``pattern`` is the CSC matrix of the pattern, with zero values: rows
     sorted within each column, every diagonal entry present, loop edges
@@ -69,16 +68,16 @@ class JacobianPlan:
     pattern: sp.csc_matrix
 
 
-def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
-    """The mesh's :class:`JacobianPlan`, built once and cached on the mesh."""
-    plan = getattr(mesh, "_jacobian_plan", None)
+def jacobian_plan(graph) -> JacobianPlan:
+    """The :class:`JacobianPlan` of a mesh or graph, built once and cached on it."""
+    plan = getattr(graph, "_jacobian_plan", None)
     if plan is None:
         import scipy.sparse as sp
 
-        n = mesh.vertex_count
-        keep = mesh.edges[:, 0] != mesh.edges[:, 1]
-        lo = mesh.edges[keep].min(axis=1)
-        hi = mesh.edges[keep].max(axis=1)
+        n = graph.vertex_count
+        keep = graph.edges[:, 0] != graph.edges[:, 1]
+        lo = graph.edges[keep].min(axis=1)
+        hi = graph.edges[keep].max(axis=1)
         vertices = np.arange(n)
         rows = np.concatenate([lo, hi, lo, hi, vertices])
         cols = np.concatenate([hi, lo, lo, hi, vertices])
@@ -89,7 +88,7 @@ def jacobian_plan(mesh: SurfaceMesh) -> JacobianPlan:
                                 shape=(n, n))
         for a in (keep, slot, pattern.indices, pattern.indptr, pattern.data):
             a.flags.writeable = False
-        plan = mesh._jacobian_plan = JacobianPlan(keep, slot, pattern)
+        plan = graph._jacobian_plan = JacobianPlan(keep, slot, pattern)
     return plan
 
 
@@ -129,17 +128,19 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray,
     return eta, diag
 
 
-def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray,
-                      point: Point) -> sp.csc_matrix:
-    """Sparse Jacobian D - Delta_eta at u, filled into the mesh's plan.
-
-    The arguments are those of :func:`jacobian_weights`, which gives the
-    values; the result shares its index arrays with ``plan.pattern``.
-    """
-    eta, diag = jacobian_weights(mesh, kappa, point)
-    plan = jacobian_plan(mesh)
+def operator_matrix(graph, eta: np.ndarray, diag: np.ndarray) -> sp.csc_matrix:
+    """Sparse D - Delta_eta on a mesh or :class:`dcpm.calculus.Graph`, from
+    ``eta`` per edge and ``diag`` per vertex, filled into its plan."""
+    plan = jacobian_plan(graph)
     w = eta[plan.keep]
     values = np.concatenate([-w, -w, w, w, diag])
     J = copy.copy(plan.pattern)
     J.data = np.bincount(plan.slot, weights=values, minlength=plan.pattern.nnz)
     return J
+
+
+def assemble_jacobian(mesh: SurfaceMesh, kappa: np.ndarray,
+                      point: Point) -> sp.csc_matrix:
+    """Sparse Jacobian D - Delta_eta at u: :func:`operator_matrix` of the
+    values that :func:`jacobian_weights`, with the same arguments, gives."""
+    return operator_matrix(mesh, *jacobian_weights(mesh, kappa, point))

@@ -82,7 +82,7 @@ class SurfaceMesh:
         try:  # integers and booleans only: a float or complex array is refused
             for name in names:
                 setattr(self, name, np.asarray(getattr(self, name)).astype(
-                    np.int64, order="C", casting="same_kind", copy=False))
+                    np.int64, order="C", casting="same_kind"))
         except (TypeError, ValueError) as exc:
             raise MeshError(f"mesh arrays must be integer arrays: {exc}") from None
         E, F = self.edges.shape[:1], self.face_edges.shape[:1]

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcpm import calculus, models
 from dcpm.calculus import (Graph, divergence, elliptic_estimate_check, gradient,
                            isoperimetric_constant, laplacian_apply,
                            laplacian_matrix)
+from dcpm.jacobian import NotPositiveDefiniteError
+
+from conftest import jacobian_at, weights_at
 
 
 def path2():
@@ -76,6 +80,31 @@ def test_graph_takes_edge_pairs_only(edges):
     # a (2, 3) array used to be read as the three edges 0-1, 2-1 and 2-3
     with pytest.raises(ValueError, match=r"^edges must be an \(E, 2\) array"):
         Graph(4, edges)
+
+
+@pytest.mark.parametrize("vertex_count, edges, message", [
+    (3, [[-1, 1]], "^edge endpoint out of vertex range$"),
+    (3, [[0, 5]], "^edge endpoint out of vertex range$"),
+    (3, [[0.7, 1.2]], "^edges must be an integer array"),
+    (3, np.empty((0, 2)), "^edges must be an integer array"),
+    (3, [[0, 1], [2]], "^edges must be an integer array"),
+    (2.5, [[0, 1]], "^vertex count must be an integer >= 0$"),
+    (-1, np.empty((0, 2), dtype=int), "^vertex count must be an integer >= 0$"),
+], ids=["endpoint-negative", "endpoint-past-count", "edges-float", "empty-float",
+        "edges-ragged", "count-float", "count-negative"])
+def test_graph_owns_count_kind_and_range(vertex_count, edges, message):
+    # vertex -1 used to be read as vertex 2, vertex 5 ended in numpy's
+    # IndexError, float endpoints were truncated and a count of 2.5 built
+    with pytest.raises(ValueError, match=message):
+        Graph(vertex_count, edges)
+
+
+def test_graph_keeps_a_read_only_copy():
+    edges = np.array([[0, 1], [1, 2]])
+    g = Graph(np.int64(3), edges)
+    edges[0, 0] = 2
+    assert g.edges[0, 0] == 0 and not g.edges.flags.writeable
+    assert Graph(0, np.empty((0, 2), dtype=int)).edges.shape == (0, 2)
 
 
 def test_divergence_circulation():
@@ -235,6 +264,11 @@ def test_isoperimetric_guards():
                                np.ones(24))
     with pytest.raises(ValueError, match="disconnected"):
         isoperimetric_constant(Graph(4, np.array([[0, 1], [2, 3]])), np.ones(2))
+    # broadcasting used to give 0.0 for both (the 4-cycle's constant is 0.5)
+    with pytest.raises(ValueError, match=r"^lengths must have shape \(E,\) = \(4,\)$"):
+        isoperimetric_constant(cycle4(), np.ones(1))
+    with pytest.raises(ValueError, match=r"^lengths must have shape \(E,\) = \(1,\)$"):
+        isoperimetric_constant(path2(), np.ones(3))
 
 
 # -- elliptic estimate harness ------------------------------------------------
@@ -327,15 +361,57 @@ def test_elliptic_guards():
         elliptic_estimate_check(Graph(4, np.array([[0, 1], [2, 3]])),
                                 np.ones(2), np.ones(2), np.zeros(2),
                                 1.0, 1.0, 1.0)
+    # connectivity is checked before the lengths are read: no edge lengths
+    # used to end in numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="disconnected"):
+        elliptic_estimate_check(Graph(2, np.empty((0, 2), dtype=int)),
+                                np.empty(0), np.empty(0), np.empty(0),
+                                1.0, 1.0, 1.0)
     # eta = 0 leaves Delta = 0, singular even with the gauge pinned
-    with pytest.raises(np.linalg.LinAlgError, match=r"singular system \(Delta\)"):
+    with pytest.raises(NotPositiveDefiniteError, match="^Factor is exactly singular$"):
         elliptic_estimate_check(path2(), np.ones(1), np.zeros(1), np.zeros(1),
                                 1.0, 1.0, 1.0)
     # D = 0 leaves the Laplacian, whose LU factor is exactly singular here
-    with pytest.raises(np.linalg.LinAlgError, match="singular system"):
+    with pytest.raises(NotPositiveDefiniteError, match="^Factor is exactly singular$"):
         elliptic_estimate_check(path2(), np.ones(1), np.ones(1), np.zeros(1),
                                 1.0, 1.0, 1.0, y=np.zeros(2),
                                 diag=np.zeros(2), c4=1.0)
+
+
+@pytest.mark.parametrize("part2, solves", [(False, 1), (True, 2)],
+                         ids=["part-1", "parts-1-2"])
+def test_elliptic_solves_through_the_factor_path(octagon1, factorizations,
+                                                 part2, solves):
+    mesh = octagon1.mesh
+    V, E = mesh.vertex_count, mesh.edge_count
+    x = np.random.default_rng(3).uniform(-1, 1, E) * octagon1.lengths ** 2
+    extra = {"y": np.zeros(V), "diag": np.ones(V), "c4": 1.0} if part2 else {}
+    elliptic_estimate_check(mesh, octagon1.lengths, np.ones(E), x, 1.0, 1.0, 1.0,
+                            **extra)
+    assert len(factorizations) == solves
+
+
+def test_elliptic_part2_factors_the_newton_matrix(octagon1, monkeypatch):
+    # with (eta, diag) from jacobian_weights, part 2 solves with the very
+    # matrix that Newton factors at that point
+    mesh, lengths = octagon1.mesh, octagon1.lengths
+    kappa = models.dual_distance_kappa(mesh, 0.5)
+    u = np.random.default_rng(2).normal(0.0, 0.05, mesh.vertex_count)
+    eta, diag = weights_at(mesh, kappa, u, lengths)
+    matrices, solve = [], calculus.solve_linear_spd
+
+    def capture(J, rhs):
+        matrices.append(J)
+        return solve(J, rhs)
+
+    monkeypatch.setattr(calculus, "solve_linear_spd", capture)
+    elliptic_estimate_check(mesh, lengths, eta, np.zeros(mesh.edge_count),
+                            1.0, 1.0, 1.0, y=np.ones(mesh.vertex_count),
+                            diag=diag, c4=1.0)
+    J = jacobian_at(mesh, kappa, u, lengths)
+    assert len(matrices) == 2 and matrices[1].shape == J.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(matrices[1], name), getattr(J, name))
 
 
 def test_elliptic_mean_zero_representative(octagon1):

@@ -331,6 +331,18 @@ def _octagon0_with(**change):
     return build
 
 
+def _edited_after_build(m):
+    """Builds from a copy of the mesh's edges, edits the copy, and builds
+    again: the first mesh keeps edges of its own (it used to keep the copy
+    itself, read-only, so the edit raised numpy's read-only error)."""
+    edges = m.edges.copy()
+    first = _octagon0_with(edges=edges)(m)
+    edges[0, 0] = -1
+    assert not np.shares_memory(first.edges, edges)
+    assert np.array_equal(first.edges, m.edges)
+    return _octagon0_with(edges=edges)(m)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda m: SurfaceMesh(0, np.empty((0, 2)), np.empty((0, 3)), np.empty((0, 3)),
                            [], []), "^mesh has no faces$"),
@@ -346,10 +358,11 @@ def _octagon0_with(**change):
     (_octagon0_with(face_signs=lambda s: s[:-1]), r"must be \(E, 2\), \(F, 3\)"),
     (_octagon0_with(face_signs=lambda s: s[:, :2]), r"must be \(E, 2\), \(F, 3\)"),
     (_octagon0_with(face_edges=[[0, 1, 2], [3, 4]]), "^mesh arrays must be integer"),
+    (_edited_after_build, "^edge endpoint out of vertex range$"),
 ], ids=["no-faces", "vertex-count-float", "vertex-count-0", "vertex-count-negative",
         "3-edge-ids", "3-face-ids", "face-ids-column", "edge-id-scalar",
         "edges-3-columns", "face-signs-short", "face-signs-2-columns",
-        "face-edges-ragged"])
+        "face-edges-ragged", "edges-edited-after-build"])
 def test_surface_mesh_owns_counts_and_id_columns(octagon0, build, message):
     # each used to build, then fail later with an IndexError, a short file,
     # numpy's broadcast error or a silently truncated array

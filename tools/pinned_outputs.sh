@@ -18,6 +18,9 @@ dcpm flow --mesh "$d/octagon2.mesh" --kappa const:-1 --steps 50 --report "$d/flo
 dcpm flow --mesh "$d/octagon2.mesh" --kappa const:-1 --steps 50 --no-polish --report "$d/flow-np.txt" --out "$d/u.flow-np" --trace "$d/trace-np.csv"
 dcpm gen octagon --refine 1 --out "$d/octagon1.mesh"
 dcpm check --mesh "$d/octagon1.mesh" --isoperimetric --report "$d/iso.txt"
+# level 0 has loop edges and parallel spokes, which level 1 has not
+dcpm gen octagon --refine 0 --out "$d/octagon0.mesh"
+dcpm check --mesh "$d/octagon0.mesh" --isoperimetric --report "$d/iso0.txt"
 # the one path that reports infeasible faces instead of exiting 3
 dcpm check --mesh "$d/octagon1.mesh" --kappa const:-1e300 --report "$d/check-infeasible.txt"
 dcpm converge --levels 3 --out "$d/converge.csv"
