@@ -31,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, models
-from .calculus import isoperimetric_constant
 from .geometry import InfeasibleFaceError
 from .mesh import MeshError, SurfaceMesh, ascii_number, dump_mesh, \
-    load_face_curvature, load_mesh, validate_topology
+    isoperimetric_constant, load_face_curvature, load_mesh, validate_topology
 from .solver import ContinuationConfig, LinearSolveError, SolveConfig, \
     SolverInputError, continuation_solve, newton_solve
 

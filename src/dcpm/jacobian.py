@@ -54,7 +54,7 @@ class JacobianPlan:
 
     ``pattern`` is the CSC matrix of the pattern, with zero values: rows
     sorted within each column, every diagonal entry present, loop edges
-    dropped as in :func:`dcpm.calculus.laplacian_matrix`.  The numeric
+    dropped, since a loop's two ends cancel in Delta_eta.  The numeric
     values are laid out as ``[-w, -w, +w, +w, diag]``, with ``w`` the
     weights of the non-loop edges (mask ``keep``): the two off-diagonal
     entries of each edge, its two endpoint diagonals, then D.  ``slot``
@@ -104,7 +104,7 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray,
     For a loop edge both endpoint contributions land on the same diagonal
     entry, which is the correct specialization of the derivative.  ``eta``
     is per edge (summed over the two incident faces) and ``diag`` per
-    vertex; ``calculus.laplacian_matrix(mesh, eta)`` is Delta_eta.
+    vertex; ``operator_matrix(mesh, eta, 0 * diag)`` is -Delta_eta.
     """
     tilde = tilde_theta(point.angles)
     singular = (tilde < COT_SINGULARITY_TOL) | (np.pi - tilde < COT_SINGULARITY_TOL)
@@ -129,8 +129,9 @@ def jacobian_weights(mesh: SurfaceMesh, kappa: np.ndarray,
 
 
 def operator_matrix(graph, eta: np.ndarray, diag: np.ndarray) -> sp.csc_matrix:
-    """Sparse D - Delta_eta on a mesh or :class:`dcpm.calculus.Graph`, from
-    ``eta`` per edge and ``diag`` per vertex, filled into its plan."""
+    """Sparse D - Delta_eta on any ``graph`` with ``vertex_count`` and (E, 2)
+    ``edges``, such as a mesh, from ``eta`` per edge and ``diag`` per vertex,
+    filled into its plan."""
     plan = jacobian_plan(graph)
     w = eta[plan.keep]
     values = np.concatenate([-w, -w, w, w, diag])

@@ -31,6 +31,8 @@ from numbers import Integral
 import numpy as np
 
 MAGIC = "DCPM 1"
+ISOPERIMETRIC_VERTEX_CAP = 24
+ISOPERIMETRIC_CHUNK = 1 << 18
 
 
 class MeshError(Exception):
@@ -305,6 +307,43 @@ def vertex_components(vertex_count: int, edges: np.ndarray) -> np.ndarray:
         if np.array_equal(hooked, label):
             return label
         label = hooked
+
+
+def isoperimetric_constant(graph, lengths: np.ndarray) -> float:
+    """Smallest C with min{|V0|, |V|-|V0|} <= C*|boundary V0|^2 for all V0.
+
+    ``graph`` is anything with ``vertex_count`` and (E, 2) ``edges``, such as
+    a :class:`SurfaceMesh`.  |boundary V0| sums the lengths of edges with
+    exactly one endpoint in V0, |V0| the squared lengths of edges with both
+    endpoints in V0, and |V| all squared lengths.  Exhaustive over all proper
+    nonempty vertex subsets; exact but exponential, so capped at
+    ``ISOPERIMETRIC_VERTEX_CAP`` vertices.
+    """
+    n = graph.vertex_count
+    if n > ISOPERIMETRIC_VERTEX_CAP:
+        raise ValueError(
+            f"isoperimetric enumeration capped at {ISOPERIMETRIC_VERTEX_CAP} "
+            f"vertices (got {n})")
+    if vertex_components(n, graph.edges).any():
+        raise ValueError("graph is disconnected")
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape != graph.edges.shape[:1]:
+        raise ValueError(f"lengths must have shape (E,) = {graph.edges.shape[:1]}")
+    total = float((lengths ** 2).sum())
+    a, b = graph.edges[:, 0], graph.edges[:, 1]
+    l1, l2 = lengths, lengths ** 2
+
+    best = 0.0
+    for start in range(1, (1 << n) - 1, ISOPERIMETRIC_CHUNK):
+        stop = min(start + ISOPERIMETRIC_CHUNK, (1 << n) - 1)
+        # row i: the vertex set of mask start + i; np.take keeps rows C-ordered
+        inside = ((np.arange(start, stop)[:, None] >> np.arange(n)) & 1).astype(bool)
+        a_in, b_in = np.take(inside, a, axis=1), np.take(inside, b, axis=1)
+        perim = ((a_in ^ b_in) * l1).sum(axis=1)
+        area = ((a_in & b_in) * l2).sum(axis=1)
+        ratio = np.minimum(area, total - area) / perim ** 2
+        best = max(best, float(ratio.max()))
+    return best
 
 
 def cycle_minima(perm: np.ndarray) -> np.ndarray:

@@ -10,19 +10,19 @@ import time
 import numpy as np
 import pytest
 
-from dcpm.calculus import (Graph, divergence, elliptic_estimate_check,
-                           gradient, isoperimetric_constant, laplacian_apply,
-                           laplacian_matrix)
 from dcpm.geometry import (corner_angles, discrete_curvature, evaluate_point,
                            gauss_bonnet_residual, acuteness_margin,
                            triangle_angles)
 from dcpm.jacobian import lambda_factor, tilde_theta
+from dcpm.mesh import isoperimetric_constant
 from dcpm.models import convergence_study, octagon_fixture
 from dcpm.solver import (ContinuationConfig, SolveConfig, continuation_solve,
                          newton_solve)
 
 from conftest import fd_jacobian, jacobian_at, random_feasible_instance, weights_at
-from test_calculus import is_connected, oracle_isoperimetric, random_graph
+from test_calculus import (divergence, elliptic_estimate_check, gradient,
+                           is_connected, laplacian_apply, laplacian_matrix,
+                           oracle_isoperimetric, random_graph)
 
 
 def report(capsys, name, ok):

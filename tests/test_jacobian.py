@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcpm.calculus import laplacian_matrix
 from dcpm.geometry import evaluate_point, model_length, scale_lengths, triangle_angles
 from dcpm.jacobian import (NotPositiveDefiniteError, jacobian_plan,
                            jacobian_weights, lambda_factor, tilde_theta)
 
 from conftest import (fd_jacobian, jacobian_at, needle_lengths, pinched,
                       random_feasible_instance, reversed_spokes, weights_at)
+from test_calculus import laplacian_matrix
 
 # frozen oracle values for the equilateral H = 1 triangle
 EQUILATERAL_H1_ANGLE = 0.91879787217802737
