@@ -14,10 +14,9 @@ from .mesh import (MeshError, SurfaceMesh, TopologyReport, dump_mesh,
                    isoperimetric_constant, load_face_curvature, load_mesh,
                    validate_topology)
 from .models import (ModelSurface, convergence_study, dual_distance_kappa,
-                     gen_octagon_genus2, octagon_fixture, refine_midpoint,
-                     true_angle_sum_defect)
+                     gen_octagon_genus2, octagon_fixture, refine_midpoint)
 from .solver import (ContinuationConfig, LinearSolveError, NotPositiveDefiniteError,
                      SolveConfig, SolveResult, SolverInputError, continuation_solve,
-                     energy_along_path, newton_solve, solve_linear_spd, validate_inputs)
+                     newton_solve, solve_linear_spd, validate_inputs)
 
 __version__ = "0.1.0"

@@ -81,7 +81,7 @@ def _check_writable(outputs, inputs) -> None:
     Each path is opened for appending and closed, which changes no file; one
     that did not exist is removed again.  ``None`` stands for a path not given.
     """
-    paths = [p for p in outputs if p]
+    paths = [p for p in outputs if p is not None]
     real = [os.path.realpath(p) for p in paths]
     read = {os.path.realpath(p) for p in inputs if p}
     for i, path in enumerate(paths):
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         code, report, files = args.func(args)
         files[given("report")] = _report_text(report, _VOLATILE_KEYS)
         for path, text in files.items():
-            if path:  # None: an optional output that was not asked for
+            if path is not None:  # None: an optional output not asked for
                 _write(path, text)
         sys.stdout.write(_report_text(report))
         if code != EXIT_NO_CONVERGENCE:

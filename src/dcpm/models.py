@@ -23,7 +23,6 @@ from .solver import _check_count, newton_solve
 class ModelSurface:
     mesh: SurfaceMesh
     lengths: np.ndarray
-    level: int
 
 
 # -- hyperboloid (Minkowski) model helpers ----------------------------------
@@ -85,7 +84,7 @@ def gen_octagon_genus2() -> ModelSurface:
                        edge_ids=np.arange(12),
                        face_ids=np.arange(8))
     lengths = np.array([spoke_len] * 8 + [side_len] * 4)
-    return ModelSurface(mesh=mesh, lengths=lengths, level=0)
+    return ModelSurface(mesh=mesh, lengths=lengths)
 
 
 def refine_midpoint(m: ModelSurface) -> ModelSurface:
@@ -136,7 +135,7 @@ def refine_midpoint(m: ModelSurface) -> ModelSurface:
                            face_signs=new_face_signs.reshape(-1, 3),
                            edge_ids=np.arange(2 * E + 3 * F),
                            face_ids=np.arange(4 * F))
-    return ModelSurface(mesh=new_mesh, lengths=new_lengths, level=m.level + 1)
+    return ModelSurface(mesh=new_mesh, lengths=new_lengths)
 
 
 def octagon_fixture(level: int) -> ModelSurface:
@@ -146,17 +145,6 @@ def octagon_fixture(level: int) -> ModelSurface:
     for _ in range(level):
         m = refine_midpoint(m)
     return m
-
-
-def true_angle_sum_defect(m: ModelSurface) -> float:
-    """Max deviation of true hyperbolic vertex angle sums from 2*pi.
-
-    Uses the stored lengths directly in the curvature -1 law of cosines (no
-    model-length transform); ~0 certifies an honest hyperbolic surface with
-    no cone points.
-    """
-    angles = geometry.triangle_angles(m.lengths[m.mesh.face_edges])
-    return float(np.max(np.abs(geometry.curvature_from_angles(m.mesh, angles))))
 
 
 def dual_distance_kappa(mesh: SurfaceMesh, amplitude: float) -> np.ndarray:

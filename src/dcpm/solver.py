@@ -198,13 +198,13 @@ class _HeldFactor:
         return d
 
 
-def validate_inputs(mesh: SurfaceMesh, kappa, lengths, *us):
-    """Return ``(kappa, lengths, *us)`` as the float arrays the solvers use.
+def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
+    """Return ``(kappa, lengths, u)`` as the float arrays the solvers use.
 
     Raises :class:`SolverInputError` unless the mesh is ``solver_eligible``
     (:func:`validate_topology`) and the inputs are real: ``kappa`` (F,)
-    finite and negative, ``lengths`` (E,) finite and positive, each ``u``
-    (V,) finite.  Each ``u`` is copied, float64 ``kappa`` and ``lengths`` not.
+    finite and negative, ``lengths`` (E,) finite and positive, ``u`` (V,)
+    finite.  ``u`` is copied, float64 ``kappa`` and ``lengths`` not.
     """
     report = validate_topology(mesh)
     if not report.solver_eligible:
@@ -214,12 +214,12 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, *us):
     try:  # a same-kind cast: complex or text input is an error, not truncated
         kappa, lengths = (np.asarray(a).astype(float, casting="same_kind", copy=False)
                           for a in (kappa, lengths))
-        us = [np.asarray(u).astype(float, casting="same_kind") for u in us]
+        u = np.asarray(u).astype(float, casting="same_kind")
     except (TypeError, ValueError) as exc:
         raise SolverInputError(f"inputs must be arrays of real numbers: {exc}") from None
     for name, value, n, sign in (("kappa", kappa, mesh.face_count, -1),
                                  ("lengths", lengths, mesh.edge_count, 1),
-                                 *(("u", u, mesh.vertex_count, 0) for u in us)):
+                                 ("u", u, mesh.vertex_count, 0)):
         if value.shape != (n,):
             raise SolverInputError(f"{name} has shape {value.shape}, expected ({n},)")
         if not np.isfinite(value).all():
@@ -227,7 +227,7 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, *us):
         if sign and not (np.sign(value) == sign).all():
             raise SolverInputError(
                 f"{name} must be strictly {'negative' if sign < 0 else 'positive'}")
-    return (kappa, lengths, *us)
+    return kappa, lengths, u
 
 
 def _feasible_point(mesh, kappa, lengths, u, where: str, *args, curvature=True):
@@ -353,23 +353,3 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     result.linearity_defect = max(d for _, _, d in checkpoint_log)
     result.checkpoint_log = checkpoint_log
     return result
-
-
-def energy_along_path(mesh: SurfaceMesh, kappa: np.ndarray,
-                      lengths: np.ndarray, u_start: np.ndarray,
-                      u_end: np.ndarray) -> float:
-    """Line integral of sum_i K_i du_i along the straight segment.
-
-    32-point Gauss-Legendre quadrature; a path-independence and convexity diagnostic
-    for the underlying energy (its gradient is K, its Hessian symmetric).
-    Inputs pass :func:`validate_inputs`; an infeasible node raises InfeasibleFaceError.
-    """
-    kappa, lengths, u, u_end = validate_inputs(mesh, kappa, lengths, u_start, u_end)
-    delta = u_end - u
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = 0.0
-    for t, w in zip(0.5 * (nodes + 1.0), weights):
-        K = _feasible_point(mesh, kappa, lengths, u + t * delta,
-                            "infeasible point at path parameter {:.6g}", t).K
-        total += 0.5 * w * float(K @ delta)
-    return total

@@ -69,7 +69,8 @@ def assert_cli_contract(argv):
 def cli_paths(tmp_path, octagon0, octagon1, mesh_file):
     """Placeholders of the exit-code table: input files, {tmp}, an empty
     output directory, {nowhere}, a path in a missing directory, and the
-    whitespace that splitting the table's argv would drop."""
+    whitespace and {empty} string that splitting the table's argv would
+    drop."""
     kappa = "".join(f"k {f} -1.1\n" for f in range(octagon1.mesh.face_count))
     texts = {
         "tetra": TETRA_TEXT,
@@ -87,7 +88,7 @@ def cli_paths(tmp_path, octagon0, octagon1, mesh_file):
     }
     paths = {"mesh": mesh_file, "tmp": str(tmp_path / "out"),
              "nowhere": str(tmp_path / "out" / "missing" / "x"),
-             "space": " ", "newline": "\n"}
+             "space": " ", "newline": "\n", "empty": ""}
     (tmp_path / "out").mkdir()
     for name, text in texts.items():
         paths[name] = str(tmp_path / name)
@@ -211,7 +212,12 @@ FILE_ERRORS = [row(id, EXIT_INVALID, argv, "error: cannot ") for id, argv in [
     ("solve-out", "solve --mesh {mesh} --kappa const:-1 --out {nowhere}"),
     ("solve-report", f"{SOLVE} const:-1 --report {{nowhere}}"),
     ("flow-trace", f"{FLOW} 8 --trace {{nowhere}}"),
-    ("converge-out", "converge --levels 1 --out {nowhere}")]]
+    ("converge-out", "converge --levels 1 --out {nowhere}"),
+    # an empty path is a path that cannot be opened, not one left out
+    ("gen-out-empty", "gen octagon --out {empty}"),
+    ("converge-out-empty", "converge --levels 1 --out {empty}"),
+    ("solve-report-empty", f"{SOLVE} const:-1 --report {{empty}}"),
+    ("flow-trace-empty", f"{FLOW} 8 --trace {{empty}}")]]
 
 
 @pytest.mark.parametrize("argv, code, err, report, written", EXIT_CODES)
@@ -236,14 +242,19 @@ def test_unreadable_or_unwritable_file_exits_2(cli_paths, argv, code, err,
 
 
 # a level whose arrays outgrow memory exits 2 with one line; each row runs in
-# a child whose address space may grow only MEMORY_HEADROOM bytes past what
-# its imports mapped, so that no test can exhaust the machine
+# a child whose address space may grow only its headroom past what its
+# imports mapped, so that no test can exhaust the machine.  Where the failing
+# allocation is SuperLU's, its C code prints its own line first.
+ONE_ERROR_LINE = r"error: [^\n]*\n"
 MEMORY_ROWS = [
-    row("gen-refine-40", EXIT_INVALID, "gen octagon --out {tmp}/m --refine 40",
-        "error: "),
-    row("converge-levels-40", EXIT_INVALID, f"{CONVERGE} 40", "error: "),
+    pytest.param(128 << 20, "gen octagon --out {tmp}/m --refine 40",
+                 ONE_ERROR_LINE, id="gen-refine-40"),
+    pytest.param(128 << 20, f"{CONVERGE} 40", ONE_ERROR_LINE,
+                 id="converge-levels-40"),
+    pytest.param(256 << 20, f"{CONVERGE} 40",
+                 r"(Can't expand MemType \d+: jcol \d+\n)?" + ONE_ERROR_LINE,
+                 id="converge-levels-40-superlu"),
 ]
-MEMORY_HEADROOM = 128 << 20
 MEMORY_LIMITED_SCRIPT = """
 import resource, sys
 import scipy.sparse.linalg  # the solver's lazy import, mapped before the limit
@@ -264,17 +275,15 @@ def child_env():
 
 @pytest.mark.skipif(not Path("/proc/self/statm").is_file(),
                     reason="the limit is set from /proc/self/statm")
-@pytest.mark.parametrize("argv, code, err, report, written", MEMORY_ROWS)
-def test_level_past_memory_exits_2(cli_paths, argv, code, err, report, written):
+@pytest.mark.parametrize("headroom, argv, err", MEMORY_ROWS)
+def test_level_past_memory_exits_2(cli_paths, headroom, argv, err):
     proc = subprocess.run(
-        [sys.executable, "-c", MEMORY_LIMITED_SCRIPT, str(MEMORY_HEADROOM),
+        [sys.executable, "-c", MEMORY_LIMITED_SCRIPT, str(headroom),
          *(word.format(**cli_paths) for word in argv.split())],
         env=child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
-    assert (proc.stdout == "") if report is None else (report in proc.stdout)
-    left = sorted(p.name for p in Path(cli_paths["tmp"]).rglob("*"))
-    assert left == sorted(written)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert re.fullmatch(err, proc.stderr), proc.stderr
+    assert proc.stdout == "" and not any(Path(cli_paths["tmp"]).iterdir())
 
 
 # a scipy that cannot be imported exits 2 with one line, and nothing written

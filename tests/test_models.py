@@ -4,12 +4,13 @@ from collections import deque
 import numpy as np
 import pytest
 
+from dcpm.geometry import curvature_from_angles, triangle_angles
 from dcpm.mesh import validate_topology
 from dcpm.models import (CSV_HEADER, convergence_study, dual_distance_kappa,
                          embed_triangle, gen_octagon_genus2,
                          geodesic_midpoint, hyperbolic_distance,
                          minkowski_dot, octagon_fixture, refine_midpoint,
-                         rows_to_csv, true_angle_sum_defect)
+                         rows_to_csv)
 
 # frozen oracle values for the regular pi/4-cornered hyperbolic octagon
 SPOKE_LEN = 2.44845244767807579    # arccosh(cot^2(pi/8))
@@ -62,8 +63,10 @@ def test_octagon_lengths():
 
 
 def test_octagon_is_honest_hyperbolic(octagon_levels):
+    # the stored lengths in the curvature -1 law of cosines: angle sums 2*pi
     for m in octagon_levels:
-        assert true_angle_sum_defect(m) <= 1e-12
+        angles = triangle_angles(m.lengths[m.mesh.face_edges])
+        assert np.abs(curvature_from_angles(m.mesh, angles)).max() <= 1e-12
 
 
 def test_refinement_counts(octagon_levels):
@@ -98,7 +101,6 @@ def test_octagon_fixture_rejects_negative_level():
 
 def test_octagon_fixture_matches_levels(octagon_levels):
     m = octagon_fixture(2)
-    assert m.level == 2
     assert np.array_equal(m.mesh.edges, octagon_levels[2].mesh.edges)
     np.testing.assert_array_equal(m.lengths, octagon_levels[2].lengths)
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from dcpm.geometry import (InfeasibleFaceError, acuteness_margin, corner_angles,
                            model_length, scale_lengths)
 from dcpm.solver import (ContinuationConfig, LinearSolveError,
                          NotPositiveDefiniteError, SolveConfig, SolverInputError,
-                         continuation_solve, energy_along_path, newton_solve,
-                         solve_linear_spd, validate_inputs)
+                         continuation_solve, newton_solve, solve_linear_spd,
+                         validate_inputs)
 
 from conftest import (TETRA_TEXT, degenerate_lengths, jacobian_at,
                       random_feasible_instance)
@@ -25,6 +28,14 @@ def shifted(J, c):
     import scipy.sparse as sp
 
     return J + c * sp.identity(J.shape[0], format="csc")
+
+
+def test_readme_library_example():
+    # README's example, run as written: it pins the package namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scope = {}
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), scope)
+    assert scope["result"].converged and scope["result"].residual_inf <= 1e-10
 
 
 # -- input validation ---------------------------------------------------------
@@ -70,7 +81,7 @@ def flagged_face_ids(m, kappa, u):
     return m.mesh.face_ids[infeasible_slots(model_length(kappa[:, None], slot_lengths))]
 
 
-def test_infeasibility_names_its_faces_and_point(octagon1):
+def test_infeasibility_names_its_faces_and_point(octagon0, octagon1):
     # every solver raises the geometry's error, with the flagged faces' ids
     m, kappa = octagon1, kappa_const(octagon1)
     c0, c1, c2 = m.mesh.face_corners[0]
@@ -86,16 +97,15 @@ def test_infeasibility_names_its_faces_and_point(octagon1):
             run()
         assert exc.value.face_ids == expected.tolist()
 
-    # along a path, the first infeasible quadrature node fails
-    zero, end = np.zeros(m.mesh.vertex_count), np.zeros(m.mesh.vertex_count)
-    end[0] = -10.0
-    nodes = 0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)
-    t, expected = next((t, ids) for t in nodes
-                       if len(ids := flagged_face_ids(m, kappa, t * end)))
+    # a feasible start whose one RK4 step leaves the feasible set at a stage
+    m, kappa = octagon0, kappa_const(octagon0)
+    u0 = np.random.default_rng(3).normal(0.0, 1.0, m.mesh.vertex_count)
+    assert len(flagged_face_ids(m, kappa, u0)) == 0
     with pytest.raises(InfeasibleFaceError,
-                       match=f"^infeasible point at path parameter {t:.6g}: ") as exc:
-        energy_along_path(m.mesh, kappa, m.lengths, zero, end)
-    assert exc.value.face_ids == expected.tolist()
+                       match=r"^infeasible configuration at t = 0\.5: ") as exc:
+        continuation_solve(m.mesh, kappa, m.lengths, u0,
+                           ContinuationConfig(steps=1, newton_polish=False))
+    assert exc.value.face_ids == list(range(8))
 
 
 def _with(**change):
@@ -173,13 +183,11 @@ def test_list_inputs_solve_like_arrays(octagon1):
 def test_validate_inputs_returns_the_solver_arrays(octagon0):
     m = octagon0
     kappa, u = kappa_const(m), np.zeros(m.mesh.vertex_count)
-    checked = validate_inputs(m.mesh, kappa, m.lengths, u, u)
-    # float64 kappa and lengths pass through; each u is always a copy
-    assert len(checked) == 4
+    checked = validate_inputs(m.mesh, kappa, m.lengths, u)
+    # float64 kappa and lengths pass through; u is always a copy
+    assert len(checked) == 3
     assert checked[0] is kappa and checked[1] is m.lengths
-    for copy in checked[2:]:
-        assert copy is not u and copy.dtype == np.float64
-    assert checked[2] is not checked[3]
+    assert checked[2] is not u and checked[2].dtype == np.float64
     as_lists = validate_inputs(m.mesh, kappa.tolist(), [1] * m.mesh.edge_count,
                                u.tolist())
     assert all(a.dtype == np.float64 for a in as_lists)
@@ -619,6 +627,15 @@ def test_newton_scaling_covariance(octagon_levels, level, seed, c):
 
 # -- energy -------------------------------------------------------------------
 
+def path_energy(m, kappa, a, b):
+    """Line integral of K . du along the segment from a to b, by 32-node
+    Gauss-Legendre quadrature: an oracle for the energy whose gradient is K."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    return sum(0.5 * w * float(discrete_curvature(m.mesh, kappa, a + t * (b - a),
+                                                  m.lengths) @ (b - a))
+               for t, w in zip(0.5 * (nodes + 1.0), weights))
+
+
 def test_energy_path_independence(octagon1):
     m = octagon1
     kappa = kappa_const(m, -1.1)
@@ -626,42 +643,9 @@ def test_energy_path_independence(octagon1):
     a = rng.uniform(-0.05, 0.05, m.mesh.vertex_count)
     b = rng.uniform(-0.05, 0.05, m.mesh.vertex_count)
     c = rng.uniform(-0.05, 0.05, m.mesh.vertex_count)
-    direct = energy_along_path(m.mesh, kappa, m.lengths, a, b)
-    detour = (energy_along_path(m.mesh, kappa, m.lengths, a, c)
-              + energy_along_path(m.mesh, kappa, m.lengths, c, b))
+    direct = path_energy(m, kappa, a, b)
+    detour = path_energy(m, kappa, a, c) + path_energy(m, kappa, c, b)
     assert direct == pytest.approx(detour, abs=1e-10)
-
-
-def test_energy_along_path_takes_lists(octagon1):
-    # validate_inputs converts the inputs: lists give the arrays' bits
-    m = octagon1
-    kappa = kappa_const(m, -1.1)
-    rng = np.random.default_rng(4)
-    a, b = rng.uniform(-0.05, 0.05, (2, m.mesh.vertex_count))
-    expected = energy_along_path(m.mesh, kappa, m.lengths, a, b)
-    assert energy_along_path(m.mesh, kappa.tolist(), m.lengths.tolist(),
-                             a.tolist(), b.tolist()) == expected
-
-
-def test_energy_along_path_checks_inputs(octagon1):
-    m = octagon1
-    zero = np.zeros(m.mesh.vertex_count)
-    with pytest.raises(SolverInputError, match="kappa must be strictly negative"):
-        energy_along_path(m.mesh, kappa_const(m, 1.0), m.lengths, zero, zero)
-    with pytest.raises(SolverInputError, match="u has shape"):
-        energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, zero[1:])
-    # shrinking the center's edges makes its faces infeasible along the path
-    end = zero.copy()
-    end[0] = -10.0
-    with pytest.raises(InfeasibleFaceError, match="path parameter"):
-        energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, end)
-
-
-def test_energy_along_path_validates_topology_once(octagon1, topology_calls):
-    m = octagon1
-    zero = np.zeros(m.mesh.vertex_count)
-    energy_along_path(m.mesh, kappa_const(m), m.lengths, zero, zero + 0.01)
-    assert len(topology_calls) == 1
 
 
 def test_energy_minimum_at_solution(octagon1):
@@ -672,5 +656,4 @@ def test_energy_minimum_at_solution(octagon1):
     for _ in range(5):
         v = rng.uniform(-0.05, 0.05, m.mesh.vertex_count)
         # moving away from the solution raises the energy
-        gain = energy_along_path(m.mesh, kappa, m.lengths, u_star, u_star + v)
-        assert gain > 0
+        assert path_energy(m, kappa, u_star, u_star + v) > 0
