@@ -73,12 +73,9 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
     """Angles of hyperbolic triangles from (..., 3) side lengths.
 
     The angle in slot s lies between sides s and s-1, opposite side s+1
-    (matching the corner convention of :class:`SurfaceMesh`).  Raises
-    :class:`InfeasibleFaceError` with row indices on infeasible rows.
+    (matching the corner convention of :class:`SurfaceMesh`).  Every row
+    must be feasible; :func:`corner_angles` checks.
     """
-    bad = np.atleast_1d(infeasible_slots(H))
-    if bad.any():
-        raise InfeasibleFaceError(np.nonzero(bad)[0])
     # half-angle (tangent) form of the hyperbolic law of cosines; unlike the
     # cosine form it has no catastrophic cancellation for small triangles
     a = H[..., [1, 2, 0]]        # opposite side
@@ -98,17 +95,18 @@ def triangle_angles(H: np.ndarray) -> np.ndarray:
 
 
 def corner_angles(mesh: SurfaceMesh, kappa: np.ndarray,
-                  slot_lengths: np.ndarray) -> np.ndarray:
+                  slot_lengths: np.ndarray, where: str = "") -> np.ndarray:
     """(F, 3) inner angles; slot s is the angle at corner s of each face.
 
     ``slot_lengths`` is ``lengths[mesh.face_edges]``.  The one angle
-    evaluation: K, the margin and the Jacobian read its output.
+    evaluation: K, the margin and the Jacobian read its output.  Raises
+    :class:`InfeasibleFaceError`, with ``where``, on infeasible faces.
     """
     H = model_length(kappa[:, None], slot_lengths)
-    try:
-        return triangle_angles(H)
-    except InfeasibleFaceError as exc:
-        raise InfeasibleFaceError(mesh.face_ids[exc.face_ids].tolist()) from None
+    bad = infeasible_slots(H)
+    if bad.any():
+        raise InfeasibleFaceError(mesh.face_ids[bad].tolist(), where)
+    return triangle_angles(H)
 
 
 def curvature_from_angles(mesh: SurfaceMesh, angles: np.ndarray) -> np.ndarray:
@@ -131,10 +129,12 @@ class Point(NamedTuple):
 
 
 def evaluate_point(mesh: SurfaceMesh, kappa: np.ndarray, u: np.ndarray,
-                   lengths: np.ndarray, curvature: bool = True) -> Point:
-    """The :class:`Point` at u, from one angle evaluation; K only if ``curvature``."""
+                   lengths: np.ndarray, curvature: bool = True,
+                   where: str = "") -> Point:
+    """The :class:`Point` at u, from one angle evaluation; K only if
+    ``curvature``.  ``where`` names the point in an :class:`InfeasibleFaceError`."""
     slot_lengths = scale_lengths(mesh, u, lengths)[mesh.face_edges]
-    angles = corner_angles(mesh, kappa, slot_lengths)
+    angles = corner_angles(mesh, kappa, slot_lengths, where)
     return Point(u, slot_lengths, angles,
                  curvature_from_angles(mesh, angles) if curvature else None)
 

@@ -230,20 +230,11 @@ def validate_inputs(mesh: SurfaceMesh, kappa, lengths, u):
     return kappa, lengths, u
 
 
-def _feasible_point(mesh, kappa, lengths, u, where: str, *args, curvature=True):
-    """:func:`~dcpm.geometry.evaluate_point` at u; its InfeasibleFaceError is
-    raised again with ``where.format(*args)``, formatted only then."""
-    try:
-        return evaluate_point(mesh, kappa, u, lengths, curvature)
-    except InfeasibleFaceError as exc:
-        raise InfeasibleFaceError(exc.face_ids, where.format(*args)) from None
-
-
 def _start_point(mesh, kappa, lengths, u):
     """:func:`validate_inputs`; its kappa and lengths and the evaluated u."""
     kappa, lengths, u = validate_inputs(mesh, kappa, lengths, u)
-    return kappa, lengths, _feasible_point(mesh, kappa, lengths, u,
-                                           "initial point infeasible")
+    return kappa, lengths, evaluate_point(mesh, kappa, u, lengths,
+                                          where="initial point infeasible")
 
 
 def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
@@ -319,9 +310,8 @@ def continuation_solve(mesh: SurfaceMesh, kappa: np.ndarray,
     K0, held = point.K, _HeldFactor()
 
     def evaluate(u: np.ndarray, t: float, curvature: bool = True):
-        return _feasible_point(mesh, kappa, lengths, u,
-                               "infeasible configuration at t = {:.6g}", t,
-                               curvature=curvature)
+        return evaluate_point(mesh, kappa, u, lengths, curvature,
+                              f"infeasible configuration at t = {t:.6g}")
 
     d = None  # the last solution of J d = K0, a guess for the next
 

@@ -368,11 +368,17 @@ def test_solve_deterministic_outputs(tmp_path, mesh_file):
 
 
 def test_solve_curvature_file(tmp_path, mesh_file, octagon1):
+    # a curvature file of -1.1 on every face solves like const:-1.1, to the byte
     kfile = tmp_path / "kappa.txt"
     kfile.write_text("\n".join(
         f"k {f} -1.1" for f in range(octagon1.mesh.face_count)))
-    assert main(["solve", "--mesh", mesh_file, "--kappa", str(kfile),
-                 "--out", str(tmp_path / "u")]) == EXIT_OK
+    for tag, kappa in (("file", str(kfile)), ("const", "const:-1.1")):
+        assert main(["solve", "--mesh", mesh_file, "--kappa", kappa, "--out",
+                     str(tmp_path / f"u.{tag}"), "--report",
+                     str(tmp_path / f"r.{tag}")]) == EXIT_OK
+    for name in ("u", "r"):
+        assert ((tmp_path / f"{name}.file").read_bytes()
+                == (tmp_path / f"{name}.const").read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

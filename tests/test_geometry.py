@@ -109,11 +109,6 @@ def test_tiny_triangle_angles(eps):
     assert np.array_equal(mixed[1], ang)
 
 
-def test_infeasible_triangle():
-    with pytest.raises(InfeasibleFaceError):
-        triangle_angles(np.array([2.2, 1.0, 1.0]))
-
-
 def test_angle_slot_convention():
     # slot s sits between sides s and s-1, opposite side s+1: a longer
     # opposite side means a larger angle
@@ -135,9 +130,18 @@ def test_corner_angles_pillow():
 
 def test_infeasible_face_reports_face_id():
     mesh, lengths = make_pillow(5.0, 1.0, 1.0)
+    kappa = np.array([-1.0, -1.0])
     with pytest.raises(InfeasibleFaceError) as exc:
-        corner_angles(mesh, np.array([-1.0, -1.0]), lengths[mesh.face_edges])
+        corner_angles(mesh, kappa, lengths[mesh.face_edges])
     assert 0 in exc.value.face_ids
+    assert str(exc.value).startswith("infeasible face(s) ")
+    # evaluate_point names the point; the ids are the mesh's, not row indices
+    u = np.zeros(mesh.vertex_count)
+    with pytest.raises(InfeasibleFaceError) as exc:
+        evaluate_point(mesh, kappa, u, lengths, where="p")
+    assert str(exc.value).startswith("p: infeasible face(s) ")
+    H = model_length(kappa[:, None], lengths[mesh.face_edges])
+    assert exc.value.face_ids == mesh.face_ids[infeasible_slots(H)].tolist()
 
 
 # -- bit-identity pins ----------------------------------------------------------
@@ -154,10 +158,6 @@ def infeasible_slots_ref(H):
 
 
 def triangle_angles_ref(H):
-    H = np.asarray(H, dtype=float)
-    bad = np.atleast_1d(infeasible_slots_ref(H))
-    if bad.any():
-        raise InfeasibleFaceError(np.nonzero(bad)[0])
     a = np.roll(H, -1, axis=-1)
     b, c = H, np.roll(H, 1, axis=-1)
     sa = 0.5 * (-a + b + c)
@@ -174,15 +174,10 @@ def triangle_angles_ref(H):
 
 
 def assert_kernels_match_reference(H):
-    assert np.array_equal(infeasible_slots(H), infeasible_slots_ref(H))
-    try:
-        expected = triangle_angles_ref(H)
-    except InfeasibleFaceError as exc:
-        with pytest.raises(InfeasibleFaceError) as got:
-            triangle_angles(H)
-        assert got.value.face_ids == exc.face_ids
-    else:
-        assert np.array_equal(triangle_angles(H), expected)
+    bad = infeasible_slots_ref(H)
+    assert np.array_equal(infeasible_slots(H), bad)
+    if not bad.any():  # triangle_angles takes feasible rows only
+        assert np.array_equal(triangle_angles(H), triangle_angles_ref(H))
 
 
 # the (3,) and (2, 3) inputs of the angle tests above

@@ -41,6 +41,8 @@ fails() {
 }
 fails solve-infeasible solve --mesh "$d/octagon1.mesh" --kappa const:-1e300 --out "$d/u.infeasible"
 fails flow-infeasible flow --mesh "$d/octagon1.mesh" --kappa const:-1e300 --out "$d/u.flow-infeasible"
+# a flow that starts feasible and leaves the feasible region at an RK4 stage
+fails flow-midpath flow --mesh "$d/octagon0.mesh" --kappa const:-1e-2 --steps 3 --out "$d/u.flow-midpath"
 fails converge-infeasible converge --levels 1 --kappa const:-1e300 --out "$d/converge-infeasible.csv"
 fails solve-no-kappa solve --mesh "$d/octagon1.mesh"
 printf 'DCPM 1\nv 0\n' >"$d/v0.mesh"
