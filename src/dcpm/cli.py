@@ -104,13 +104,6 @@ def _report_text(report: dict, skip=()) -> str:
                    if k not in skip)
 
 
-def _read_mesh(path: str):
-    try:
-        return load_mesh(_read(path, "mesh"))
-    except MeshError as exc:
-        raise CliError(f"invalid mesh: {exc}")
-
-
 def _const_kappa(spec: str) -> float:
     try:
         value = ascii_number(float, spec[len("const:"):])
@@ -142,8 +135,16 @@ def _u_text(u: np.ndarray) -> str:
     return "".join(f"u {i} {x:.17g}\n" for i, x in enumerate(u.tolist()))
 
 
-def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
-    return {
+def _inputs(args, command: str):
+    """Read ``--mesh`` and then ``--kappa``; return the mesh, its lengths,
+    the per-face curvature and the report head of ``command``."""
+    try:
+        mesh, lengths = load_mesh(_read(args.mesh, "mesh"))
+    except MeshError as exc:
+        raise CliError(f"invalid mesh: {exc}")
+    kappa = _read_kappa(args.kappa, mesh)
+    return mesh, lengths, kappa, {
+        "command": command,
         "vertices": mesh.vertex_count,
         "edges": mesh.edge_count,
         "faces": mesh.face_count,
@@ -154,15 +155,13 @@ def _input_digest(mesh: SurfaceMesh, lengths: np.ndarray) -> dict:
 
 
 def cmd_solve(args) -> tuple[int, dict, dict]:
-    mesh, lengths = _read_mesh(args.mesh)
-    kappa = _read_kappa(args.kappa, mesh)
+    mesh, lengths, kappa, report = _inputs(args, "solve")
     cfg = _config(SolveConfig, tolerance=args.tol, max_iterations=args.max_iter)
 
     t0 = time.perf_counter()
     result = newton_solve(mesh, kappa, lengths, cfg)
     elapsed = time.perf_counter() - t0
 
-    report = {"command": "solve", **_input_digest(mesh, lengths)}
     report.update({
         "iterations": result.iterations,
         "converged": result.converged,
@@ -178,8 +177,7 @@ def cmd_solve(args) -> tuple[int, dict, dict]:
 
 
 def cmd_flow(args) -> tuple[int, dict, dict]:
-    mesh, lengths = _read_mesh(args.mesh)
-    kappa = _read_kappa(args.kappa, mesh)
+    mesh, lengths, kappa, report = _inputs(args, "flow")
     cfg = _config(ContinuationConfig, steps=args.steps, newton_polish=args.polish)
 
     t0 = time.perf_counter()
@@ -187,7 +185,6 @@ def cmd_flow(args) -> tuple[int, dict, dict]:
                                 np.zeros(mesh.vertex_count), cfg)
     elapsed = time.perf_counter() - t0
 
-    report = {"command": "flow", **_input_digest(mesh, lengths)}
     report.update({
         "steps": args.steps,
         "newton_polish": args.polish,
@@ -207,10 +204,8 @@ def cmd_flow(args) -> tuple[int, dict, dict]:
 
 
 def cmd_check(args) -> tuple[int, dict, dict]:
-    mesh, lengths = _read_mesh(args.mesh)
+    mesh, lengths, kappa, report = _inputs(args, "check")
     topo = validate_topology(mesh)
-    kappa = _read_kappa(args.kappa, mesh)
-    report = {"command": "check", **_input_digest(mesh, lengths)}
     report.update({
         "is_simplicial": topo.is_simplicial,
         "max_vertex_degree": topo.max_vertex_degree,

@@ -9,8 +9,12 @@ by conjugate gradients preconditioned with it, since the Jacobian moves
 little between steps.  CG that does not converge within
 ``CG_MAX_ITERATIONS`` or meets a direction of non-positive curvature drops
 the held factor, and the system is factored afresh, which is the direct
-path.  The system is positive definite near acute configurations and
-nonsingular in general, so no gauge fixing is needed.  Every direction,
+path.  The system is positive definite near acute configurations, and no
+gauge is fixed, though near kappa = 0 it is nearly singular: as kappa -> 0
+the diagonal D vanishes and J tends to -Delta_eta, whose kernel holds the
+constants, so ``solve --kappa const:-1e-3`` on the level-1 octagon fails the
+residual check below at iteration 0 (linear residual 5.066e-10).  The
+Gauss-Bonnet gauge start of ROADMAP.md item 3 would mend it.  Every direction,
 from CG or LU, is checked twice: d must be a descent direction for the
 line search (rhs . d > 0, which holds whenever the matrix is positive
 definite), and the recomputed residual |J d - rhs| must be small relative
@@ -244,7 +248,9 @@ def newton_solve(mesh: SurfaceMesh, kappa: np.ndarray, lengths: np.ndarray,
     A step is accepted when every face stays feasible and |K|_2 decreases
     sufficiently.  When the Newton direction is unavailable (singular
     factor, no descent, or a cotangent singularity) the iteration falls back
-    to a gradient step (-K is a descent direction of the locally convex energy).
+    to a gradient step d = -K.  The line search tests |K|_2, not the convex
+    energy whose gradient is K, and along -K the norm |K|_2 decreases only
+    where K . J K > 0; ROADMAP.md item 2 would make the energy the test.
     """
     cfg = cfg or SolveConfig()
     u = np.zeros(mesh.vertex_count) if cfg.initial_u is None else cfg.initial_u

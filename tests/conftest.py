@@ -68,6 +68,33 @@ def octagon2(octagon_levels):
     return octagon_levels[2]
 
 
+def octagon_charts(top):
+    """The octagon fixture at levels 0..top, each with a chart: the
+    hyperboloid points of every face's corners, (F, 3, 3), in the corner
+    order of ``mesh.face_corners``.
+
+    Level 0 puts the centre c at (0, 0, 1) and rim point P_k at distance
+    ``spoke`` and angle 2 pi k / 8, and face i is [c, P_i, P_{i+1}].  Each
+    refinement takes the geodesic midpoints m_s of a face's sides X_s X_{s+1};
+    child 4f+s is [X_s, m_s, m_{s-1}] and child 4f+3 is [m_0, m_1, m_2], the
+    face order of ``refine_midpoint``.
+    """
+    m = models.gen_octagon_genus2()
+    spoke, angle = m.lengths[0], 2 * np.pi * np.arange(9) / 8
+    rim = np.stack([np.sinh(spoke) * np.cos(angle),
+                    np.sinh(spoke) * np.sin(angle),
+                    np.full(9, np.cosh(spoke))], axis=1)
+    X = np.stack([np.tile([0.0, 0.0, 1.0], (8, 1)), rim[:-1], rim[1:]], axis=1)
+    out = [(m, X)]
+    for _ in range(top):
+        mid = models.geodesic_midpoint(X, np.roll(X, -1, axis=1))
+        corners = np.stack([X, mid, np.roll(mid, 1, axis=1)], axis=2)
+        X = np.concatenate([corners, mid[:, None]], axis=1).reshape(-1, 3, 3)
+        m = models.refine_midpoint(m)
+        out.append((m, X))
+    return out
+
+
 def degenerate_lengths(m):
     """Level-2 octagon lengths with face 3 (edges 96, 97, 98) nearly flat at
     kappa = -1: H_98 = 0.999 (H_96 + H_97), start margin -1.477."""

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from dcpm import jacobian, models, solver
 from dcpm.jacobian import NotPositiveDefiniteError
-from dcpm.mesh import isoperimetric_constant
+from dcpm.mesh import isoperimetric_constant, vertex_components
 
 from conftest import jacobian_at, weights_at
 
@@ -168,21 +168,6 @@ def random_graph(rng, n, p=0.5):
     return Graph(n, np.array(edges))
 
 
-def is_connected(graph):
-    adj = [[] for _ in range(graph.vertex_count)]
-    for a, b in graph.edges:
-        adj[a].append(int(b))
-        adj[b].append(int(a))
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.vertex_count
-
-
 # -- gradient / divergence / laplacian ---------------------------------------
 
 def test_gradient_constant_function():
@@ -320,7 +305,7 @@ def test_isoperimetric_octagon_values(octagon0, octagon1):
 def test_isoperimetric_relabel_invariant():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 7)
-    while not is_connected(g):
+    while vertex_components(g.vertex_count, g.edges).any():
         g = random_graph(rng, 7)
     lengths = np.abs(rng.normal(size=len(g.edges))) + 0.1
     c = isoperimetric_constant(g, lengths)
@@ -350,7 +335,7 @@ def test_isoperimetric_matches_oracle():
     checked = 0
     while checked < 30:
         g = random_graph(rng, int(rng.integers(2, 9)), p=0.45)
-        if not is_connected(g):
+        if vertex_components(g.vertex_count, g.edges).any():
             continue
         lengths = np.abs(rng.normal(size=len(g.edges))) + 0.1
         assert isoperimetric_constant(g, lengths) == pytest.approx(

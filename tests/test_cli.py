@@ -96,12 +96,12 @@ def cli_paths(tmp_path, octagon0, octagon1, mesh_file):
     return paths
 
 
-def row(id, code, argv, err="", report=None, written=()):
+def row(id, code, argv, err="", report=None, written=(), marks=()):
     """One case: each word of ``argv`` is formatted with ``cli_paths``;
     ``err`` is all of stderr if it ends in a newline, else a fragment of it;
     ``report`` is a fragment of stdout, or None for an empty one; and
     ``written`` names the files left in {tmp}."""
-    return pytest.param(argv, code, err, report, written, id=id)
+    return pytest.param(argv, code, err, report, written, id=id, marks=marks)
 
 
 SOLVE = "solve --mesh {mesh} --out {tmp}/u --kappa"
@@ -218,6 +218,16 @@ FILE_ERRORS = [row(id, EXIT_INVALID, argv, "error: cannot ") for id, argv in [
     ("converge-out-empty", "converge --levels 1 --out {empty}"),
     ("solve-report-empty", f"{SOLVE} const:-1 --report {{empty}}"),
     ("flow-trace-empty", f"{FLOW} 8 --trace {{empty}}")]]
+
+# /dev/full opens for appending, so the pre-flight check passes and the write
+# fails later; the files written before it in the order stay
+DISK_FULL = "error: cannot write file: [Errno 28] No space left on device\n"
+FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+FILE_ERRORS += [
+    row("solve-out-disk-full", EXIT_INVALID, "solve --mesh {mesh} --kappa "
+        "const:-1 --out /dev/full --report {tmp}/r", DISK_FULL, marks=FULL),
+    row("solve-report-disk-full", EXIT_INVALID, f"{SOLVE} const:-1 --report "
+        "/dev/full", DISK_FULL, written=("u",), marks=FULL)]
 
 
 @pytest.mark.parametrize("argv, code, err, report, written", EXIT_CODES)

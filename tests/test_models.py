@@ -11,6 +11,9 @@ from dcpm.models import (CSV_HEADER, convergence_study, dual_distance_kappa,
                          geodesic_midpoint, hyperbolic_distance,
                          minkowski_dot, octagon_fixture, refine_midpoint,
                          rows_to_csv)
+from dcpm.solver import newton_solve
+
+from conftest import octagon_charts
 
 # frozen oracle values for the regular pi/4-cornered hyperbolic octagon
 SPOKE_LEN = 2.44845244767807579    # arccosh(cot^2(pi/8))
@@ -244,3 +247,52 @@ def test_convergence_study_rejects_bad_kappa_value(kappa_value):
     # each used to end in an InfeasibleFaceError naming every face of level 0
     with pytest.raises(ValueError, match="^kappa_value must be finite and < 0$"):
         convergence_study(1, kappa_value)
+
+
+# -- a smooth solution under a varying curvature -------------------------------
+
+BUMP_A, BUMP_R = 0.08, 1.4  # R is below the octagon's inradius, about 1.53
+
+
+def bump(r):
+    """u*(r) = A phi(r / R), phi(x) = exp(1 - 1/(1 - x^2)) for x < 1 and 0
+    beyond, and its Laplacian u'' + coth(r) u' on the hyperbolic plane
+    (2 u'' at the centre r = 0, the limit)."""
+    x = np.where(r < BUMP_R, r / BUMP_R, 0.0)
+    q = 1.0 / (1.0 - x * x)
+    phi = np.where(r < BUMP_R, np.exp(1.0 - q), 0.0)
+    dg = -2.0 * x * q * q                       # g = 1 - q, phi = exp(g)
+    ddg = -2.0 * q * q - 8.0 * x * x * q ** 3
+    du = BUMP_A * phi * dg / BUMP_R
+    ddu = BUMP_A * phi * (dg * dg + ddg) / BUMP_R ** 2
+    return BUMP_A * phi, ddu + np.divide(du, np.tanh(r), out=ddu.copy(),
+                                         where=r > 0)
+
+
+def test_smooth_kappa_converges_to_manufactured_solution():
+    # kappa_f = -exp(-u*) sqrt(1 + Lap u*) at each face's normalised Minkowski
+    # centroid prescribes the Gaussian curvature -kappa^2 whose smooth
+    # solution is u*.  e1 = max|u_h - u*|; e2 subtracts the discrete solution
+    # at kappa = -1, which is the part of the error that the varying kappa
+    # adds.  Measured: e1 2.963e-2, 7.527e-3, 2.181e-3 and e2 1.703e-2,
+    # 1.819e-3, 2.433e-4 at levels 3, 4, 5 (drops 0.254, 0.290 and 0.107,
+    # 0.134); levels 0-2 are pre-asymptotic (e2 0.324, 0.021, 0.035).
+    centre = np.array([0.0, 0.0, 1.0])
+    e1, e2 = [], []
+    for m, X in octagon_charts(5)[3:]:
+        mesh = m.mesh
+        side = hyperbolic_distance(X, np.roll(X, -1, axis=1))
+        assert np.max(np.abs(side - m.lengths[mesh.face_edges])) <= 1e-12
+        s = X.sum(axis=1)
+        centroid = s / np.sqrt(-minkowski_dot(s, s))[:, None]
+        u_c, lap = bump(hyperbolic_distance(centroid, centre))
+        r = np.empty(mesh.vertex_count)
+        r[mesh.face_corners] = hyperbolic_distance(X, centre)
+        u_star = bump(r)[0]
+        smooth = newton_solve(mesh, -np.exp(-u_c) * np.sqrt(1.0 + lap), m.lengths)
+        flat = newton_solve(mesh, np.full(mesh.face_count, -1.0), m.lengths)
+        assert smooth.converged and flat.converged
+        e1.append(np.max(np.abs(smooth.u - u_star)))
+        e2.append(np.max(np.abs(smooth.u - flat.u - u_star)))
+    assert all(b <= 0.3 * a for a, b in zip(e2, e2[1:])), e2
+    assert all(b <= 0.4 * a for a, b in zip(e1, e1[1:])), e1
